@@ -658,9 +658,15 @@ let bench_cmd =
 (* fuzz                                                                *)
 
 let fuzz_cmd =
-  let run obs count seed latencies corpus shrink_budget jobs =
+  let run obs count seed latencies machine corpus shrink_budget jobs =
     handle_errors (fun () ->
         let jobs = Exec.clamp_jobs jobs in
+        (* the campaign applies each of --latencies to the machine *)
+        let machine =
+          Option.map
+            (fun _ -> machine_spec_of_args ~machine ~clusters:2 ~latency:5)
+            machine
+        in
         let on_progress done_ mismatches =
           if jobs > 1 || done_ mod 25 = 0 || done_ = count then
             Fmt.epr "fuzz: %d/%d programs, %d mismatch(es)@." done_ count
@@ -668,7 +674,7 @@ let fuzz_cmd =
         in
         let summary =
           Telemetry.with_span "fuzz" (fun () ->
-              Gdp_fuzz.Fuzz.campaign ~jobs ~latencies ?corpus
+              Gdp_fuzz.Fuzz.campaign ~jobs ~latencies ?machine ?corpus
                 ~shrink_budget ~on_progress ~seed ~count ())
         in
         List.iter
@@ -707,7 +713,8 @@ let fuzz_cmd =
       & info [ "latencies" ] ~docv:"CYCLES"
           ~doc:
             "Comma-separated intercluster move latencies to check each \
-             program at.")
+             program at; each is applied as the link latency of the \
+             $(b,--machine), spec files included.")
   in
   let corpus_arg =
     Arg.(
@@ -734,8 +741,8 @@ let fuzz_cmd =
           partitioning method, interpreter vs cycle-level simulator vs \
           reference run.  Exits non-zero when any mismatch is found.")
     Term.(
-      const run $ obs_term $ count_arg $ seed_arg $ latencies_arg $ corpus_arg
-      $ shrink_arg $ jobs_arg)
+      const run $ obs_term $ count_arg $ seed_arg $ latencies_arg $ machine_arg
+      $ corpus_arg $ shrink_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / submit / loadgen: the gdpcd compile service                 *)

@@ -161,20 +161,26 @@ let coarsen_level (deps : D.t) (edge_weight : (int * int) -> int)
     groups;
   if !shrunk then Some (Array.of_list (List.rev !next)) else None
 
+(** Per-region RHOP work, added to telemetry once per region so the
+    candidate loop stays free of shared state. *)
+type work = { mutable est_calls : int; mutable est_pruned : int }
+
 (** Greedy refinement of one level: repeatedly move whole groups to the
-    cluster that lowers the estimated cost. *)
-let refine_level (est : Est.t) ~num_clusters ~max_passes
-    (groups : group array) (cluster : int array) : unit =
+    cluster that lowers the estimated cost.  A candidate whose
+    [Est.lower_bound] already reaches the best cost so far cannot win
+    the strict comparison, so it is rejected without the dependence
+    pass — the decisions are exactly those of evaluating every
+    candidate in full. *)
+let refine_level (st : Est.state) (work : work) ~num_clusters ~max_passes
+    (groups : group array) : unit =
   let order = Array.init (Array.length groups) Fun.id in
   Array.sort (fun a b -> compare groups.(b).size groups.(a).size) order;
   let changed = ref true in
   let pass = ref 0 in
-  (* [Est.cost] depends only on [cluster], so the cost of the standing
-     assignment can be carried from group to group: after a kept move it
-     is exactly the accepted candidate's cost, after a rejected one it is
-     unchanged.  This halves the cost calls per group on a 2-cluster
-     machine. *)
-  let current_cost = ref (Est.cost est cluster) in
+  (* the cost of the standing assignment is carried from group to group:
+     after a kept move it is exactly the accepted candidate's cost,
+     after a rejected one it is unchanged *)
+  let current_cost = ref (Est.cost_of st) in
   while !changed && !pass < max_passes do
     changed := false;
     incr pass;
@@ -183,19 +189,24 @@ let refine_level (est : Est.t) ~num_clusters ~max_passes
       (fun gi ->
         let g = groups.(gi) in
         if g.lock = None then begin
-          let cur = cluster.(List.hd g.members) in
+          let cur = Est.cluster st (List.hd g.members) in
           let best_c = ref cur and best_cost = ref !current_cost in
           for c = 0 to num_clusters - 1 do
             if c <> cur then begin
-              List.iter (fun i -> cluster.(i) <- c) g.members;
-              let cost = Est.cost est cluster in
-              if cost < !best_cost then begin
-                best_cost := cost;
-                best_c := c
-              end
+              List.iter (fun i -> Est.move st i c) g.members;
+              work.est_calls <- work.est_calls + 1;
+              if Est.lower_bound st >= !best_cost then
+                work.est_pruned <- work.est_pruned + 1
+              else
+                let cost = Est.cost_of st in
+                if cost < !best_cost then begin
+                  best_cost := cost;
+                  best_c := c
+                end
             end
           done;
-          List.iter (fun i -> cluster.(i) <- !best_c) g.members;
+          List.iter (fun i -> Est.move st i !best_c) g.members;
+          Est.commit st;
           current_cost := !best_cost;
           if !best_c <> cur then changed := true
         end)
@@ -277,12 +288,16 @@ let partition_block ~(machine : Vliw_machine.t) ~config ~objects_of
       | None -> ())
     level0;
   let num_clusters = Vliw_machine.num_clusters machine in
+  let st = Est.state est cluster in
+  let work = { est_calls = 0; est_pruned = 0 } in
   List.iter
     (fun groups ->
-      refine_level est ~num_clusters ~max_passes:config.max_passes groups
-        cluster)
+      refine_level st work ~num_clusters ~max_passes:config.max_passes groups)
     levels;
-  List.init n (fun i -> (Op.id (D.op deps i), cluster.(i)))
+  Telemetry.incr ~by:work.est_calls "rhop.est_calls";
+  Telemetry.incr ~by:work.est_pruned "rhop.est_pruned";
+  Telemetry.incr ~by:(Est.dep_nodes st) "rhop.dep_nodes";
+  List.init n (fun i -> (Op.id (D.op deps i), Est.cluster st i))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program driver                                                *)

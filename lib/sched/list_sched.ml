@@ -91,6 +91,20 @@ let schedule_block ~(machine : Vliw_machine.t) ~(assign : Assignment.t)
       done
     done
   in
+  (* an operation on a cluster with no unit of its kind could never
+     issue: refuse it here instead of spinning forever below *)
+  for i = 0 to n - 1 do
+    let o = Deps.op deps i in
+    if not (is_icm (Op.id o)) then begin
+      let c = Assignment.cluster_of assign ~op_id:(Op.id o) in
+      let k = Vliw_machine.fu_kind_index (Op.fu_kind o) in
+      if fu_slots.(c).(k) = 0 then
+        invalid_arg
+          (Fmt.str "List_sched: op %d is on cluster %d, which has no %s unit"
+             (Op.id o) c
+             (Vliw_machine.fu_kind_name (Op.fu_kind o)))
+    end
+  done;
   let remaining = ref n in
   let cycle = ref 0 in
   let scheduled_order = ref [] in

@@ -160,6 +160,161 @@ let test_est_prefers_colocation () =
   let apart = Partition.Est.cost est [| 0; 1; 0 |] in
   Alcotest.(check bool) "colocated cheaper" true (together < apart)
 
+(* The incremental estimator must be the from-scratch one, move for
+   move: random regions (generated programs, every block) on every
+   preset and on random valid gdp-machine/1 specs, random node moves
+   with commits in between. *)
+
+let random_spec rs : Machine_spec.t =
+  let n = 1 + Random.State.int rs 6 in
+  let count hi = Random.State.int rs (hi + 1) in
+  let clusters =
+    List.init n (fun _ ->
+        {
+          Machine_spec.ints = count 3;
+          floats = count 2;
+          mems = count 2;
+          branches = count 1;
+          memory_bytes = Machine_spec.default_memory_bytes;
+        })
+  in
+  let topology =
+    match Random.State.int rs 4 with
+    | 0 -> Vliw_machine.Bus
+    | 1 -> Vliw_machine.Ring
+    | 2 -> Vliw_machine.Crossbar
+    | _ ->
+        let rows = if n mod 2 = 0 then 2 else 1 in
+        Vliw_machine.Mesh { rows; cols = n / rows }
+  in
+  let spec =
+    {
+      Machine_spec.name = "random";
+      clusters;
+      topology;
+      link_latency = Random.State.int rs 11;
+      link_bandwidth = 1 + Random.State.int rs 2;
+    }
+  in
+  match Machine_spec.of_json (Machine_spec.to_json spec) with
+  | Ok spec -> spec
+  | Error m -> Alcotest.failf "random spec rejected: %s" m
+
+(* half presets, half random specs *)
+let est_machine rs =
+  let presets = Machine_spec.preset_names in
+  Machine_spec.resolve
+    (if Random.State.bool rs then random_spec rs
+     else
+       Result.get_ok
+         (Machine_spec.preset ~link_latency:(1 + Random.State.int rs 10)
+            (List.nth presets (Random.State.int rs (List.length presets)))))
+
+module Est = Partition.Est
+
+let prop_est_incremental (prog_seed, rs_seed) =
+  let rs = Random.State.make [| rs_seed |] in
+  let int bound = Random.State.int rs bound in
+  let machine = est_machine rs in
+  let ncl = Vliw_machine.num_clusters machine in
+  let prog =
+    Helpers.compile ~unroll:true (Gen_minic.gen_program_with_seed prog_seed)
+  in
+  let check_block block =
+    let deps = Vliw_sched.Deps.build ~machine block in
+    let n = Vliw_sched.Deps.num_ops deps in
+    let pick () = int n in
+    let pins = List.init (int 4) (fun _ -> (pick (), int ncl)) in
+    let couplings =
+      List.filter_map
+        (fun _ ->
+          let u = pick () and d = pick () in
+          if u < d then Some (u, d) else None)
+        (List.init 4 Fun.id)
+    in
+    let live_out =
+      List.fold_left
+        (fun acc o ->
+          if Random.State.bool rs then
+            List.fold_left (fun acc r -> Reg.Set.add r acc) acc (Op.defs o)
+          else acc)
+        Reg.Set.empty (Block.ops block)
+    in
+    let est =
+      Est.make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight:(int 8)
+    in
+    let st = Est.state est (Array.init n (fun _ -> int ncl)) in
+    for _ = 1 to 40 do
+      (match int 8 with
+      | 0 -> Est.commit st
+      | 1 | 2 ->
+          (* a group move, as RHOP makes them: evaluated, then either
+             kept or undone, then committed *)
+          let c = int ncl in
+          let group = List.init (1 + int 4) (fun _ -> pick ()) in
+          let back = List.map (fun i -> (i, Est.cluster st i)) group in
+          List.iter (fun i -> Est.move st i c) group;
+          ignore (Est.cost_of st);
+          if Random.State.bool rs then
+            List.iter (fun (i, c) -> Est.move st i c) (List.rev back);
+          Est.commit st
+      | _ -> Est.move st (pick ()) (int ncl));
+      let assignment = Array.init n (Est.cluster st) in
+      let cost = Est.cost_of st and scratch = Est.cost est assignment in
+      if cost <> scratch then
+        QCheck.Test.fail_reportf "incremental cost %d <> scratch cost %d" cost
+          scratch;
+      let lb = Est.lower_bound st in
+      if lb > cost then
+        QCheck.Test.fail_reportf "lower bound %d > cost %d" lb cost;
+      let cone = Est.dep_bound st
+      and full = Est.dep_bound (Est.state est assignment) in
+      if cone <> full then
+        QCheck.Test.fail_reportf "forward-cone dep %d <> full dep %d" cone full
+    done
+  in
+  List.iter
+    (fun f -> List.iter check_block (Func.blocks f))
+    (Prog.funcs prog);
+  true
+
+let arbitrary_est_case =
+  QCheck.make
+    ~print:(fun (p, r) ->
+      Printf.sprintf "program seed %d, machine/move seed %d" p r)
+    QCheck.Gen.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+
+(* Methods.run cycles and dynamic moves pinned from before the
+   estimator became incremental: the refinement decisions must not
+   move. *)
+let golden_rhop =
+  [
+    ("mesh16", "fir", Methods.Unified, 59427, 39006);
+    ("mesh16", "fir", Methods.Gdp, 97827, 49201);
+    ("mesh16", "epic", Methods.Unified, 46152, 17667);
+    ("mesh16", "epic", Methods.Gdp, 82098, 35219);
+    ("hetero4", "fir", Methods.Unified, 46827, 31805);
+    ("hetero4", "fir", Methods.Gdp, 46827, 43201);
+    ("hetero4", "epic", Methods.Unified, 35400, 12802);
+    ("hetero4", "epic", Methods.Gdp, 37188, 11265);
+  ]
+
+let test_rhop_golden () =
+  List.iter
+    (fun (preset, bench, m, cycles, moves) ->
+      let machine =
+        Machine_spec.resolve (Result.get_ok (Machine_spec.preset preset))
+      in
+      let p = Gdp_core.Pipeline.prepare (Benchsuite.Suite.find bench) in
+      let ctx = Gdp_core.Pipeline.context ~machine p in
+      let r = Methods.evaluate ctx (Methods.run m ctx) in
+      let what = Printf.sprintf "%s %s %s" preset bench (Methods.name m) in
+      Alcotest.(check int) (what ^ " cycles") cycles
+        r.Vliw_sched.Perf.total_cycles;
+      Alcotest.(check int) (what ^ " moves") moves
+        r.Vliw_sched.Perf.dynamic_moves)
+    golden_rhop
+
 (* ------------------------------------------------------------------ *)
 (* GDP object partitioning                                             *)
 
@@ -304,6 +459,9 @@ let suite =
     Alcotest.test_case "rhop: locks respected" `Quick test_rhop_respects_locks;
     Alcotest.test_case "est: colocation preferred" `Quick
       test_est_prefers_colocation;
+    Helpers.qcheck ~count:60 "est: incremental = from scratch"
+      prop_est_incremental arbitrary_est_case;
+    Alcotest.test_case "rhop: golden cycles and moves" `Quick test_rhop_golden;
     Alcotest.test_case "gdp: balances data bytes" `Quick test_gdp_balances_data;
     Alcotest.test_case "gdp: merge groups stay together" `Quick
       test_gdp_groups_stay_together;

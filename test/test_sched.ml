@@ -128,6 +128,34 @@ let test_scheduler_resources () =
   Alcotest.(check int) "distinct cycles" 4 (List.length load_cycles);
   Alcotest.(check bool) "length >= 4" true (LS.length s >= 4)
 
+let test_scheduler_refuses_missing_unit () =
+  (* a load placed on a cluster without a memory unit can never issue:
+     the scheduler must say so rather than loop forever *)
+  let b =
+    block_of
+      [
+        Op.Load { dst = r 0; base = Op.Imm 0x1000; offset = Op.Imm 0 };
+        Op.Ret None;
+      ]
+  in
+  let machine =
+    Vliw_machine.v ~name:"memless"
+      ~clusters:
+        [|
+          Vliw_machine.cluster ~ints:1 ~floats:1 ~mems:1 ~branches:1 ();
+          Vliw_machine.cluster ~ints:1 ~floats:1 ~mems:0 ~branches:1 ();
+        |]
+      ~network:
+        { Vliw_machine.topology = Bus; move_latency = 1; moves_per_cycle = 1 }
+      ~latencies:Vliw_machine.itanium_latencies
+  in
+  match
+    LS.schedule_block ~machine ~assign:(all_on 1 b)
+      ~move_routes:(Hashtbl.create 0) b
+  with
+  | _ -> Alcotest.fail "scheduled a load on a cluster with no memory unit"
+  | exception Invalid_argument _ -> ()
+
 let test_scheduler_uses_both_clusters () =
   (* the same 4 loads split across clusters halve the span *)
   let b =
@@ -346,6 +374,8 @@ let suite =
     Alcotest.test_case "heights and asap/alap" `Quick test_heights_and_asap;
     Alcotest.test_case "scheduler respects fu counts" `Quick
       test_scheduler_resources;
+    Alcotest.test_case "scheduler refuses an op with no unit" `Quick
+      test_scheduler_refuses_missing_unit;
     Alcotest.test_case "scheduler exploits both clusters" `Quick
       test_scheduler_uses_both_clusters;
     Alcotest.test_case "scheduler respects latency" `Quick

@@ -549,6 +549,15 @@ let test_pipeline_records_stage_spans () =
     (match Telemetry.Snapshot.find_counter snap "rhop.iterations" with
     | Some n -> n > 0
     | None -> false);
+  let counter name =
+    Option.value ~default:0 (Telemetry.Snapshot.find_counter snap name)
+  in
+  let calls = counter "rhop.est_calls" and pruned = counter "rhop.est_pruned" in
+  Alcotest.(check bool) "rhop pruned some candidates" true (0 < pruned);
+  Alcotest.(check bool) "rhop pruned no more than it tried" true
+    (pruned <= calls);
+  Alcotest.(check bool) "rhop relaxed dependence levels" true
+    (counter "rhop.dep_nodes" > 0);
   Alcotest.(check bool) "partition quality gauges present" true
     (Telemetry.Snapshot.find_gauge snap "gdp.cut_edges" <> None
     && Telemetry.Snapshot.find_gauge snap "sched.total_cycles" <> None);
