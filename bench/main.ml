@@ -26,9 +26,9 @@
      --par-domains N intra-compile shared-memory parallelism for the
                      bechamel pseudo-experiment: one Par pool of N
                      domains is opened around the whole bechamel run
-                     and extra "<bench>/<test>-parN" rows time the
-                     parallel partitioning paths next to the
-                     sequential ones (default 1 = no par rows)
+                     and extra "<bench>/<method>-parN" rows time each
+                     method on it next to the inline rows (default 1 =
+                     no par rows; the seq backend names them -par1)
      --check-partitioner FILE
                      regression gate on the bechamel ns/run rows of a
                      committed gdp-bench/1 snapshot (runs bechamel
@@ -112,8 +112,8 @@ let bechamel_benches = [ "rawcaudio"; "fir"; "mpeg2enc" ]
 (** Run the bechamel suite; returns [(test name, ns/run estimate)] rows,
     sorted by name ([None] when OLS produced no estimate).  With [pool]
     (opened once by the caller so staged closures never pay a domain
-    spawn), every test gets a parallel twin suffixed [-parN] driving
-    the same work through the pool. *)
+    spawn), every method test gets a twin suffixed [-parN] ([N] = the
+    pool width) driving the same work through the pool. *)
 let bechamel_results ?pool () : (string * float option) list =
   let open Bechamel in
   let machine =
@@ -162,7 +162,7 @@ let bechamel_results ?pool () : (string * float option) list =
           match pool with
           | None -> []
           | Some pool ->
-              let d = Par.parallelism pool in
+              let d = Par.size pool in
               List.map
                 (fun m ->
                   Test.make
@@ -171,20 +171,6 @@ let bechamel_results ?pool () : (string * float option) list =
                     (Staged.stage (fun () ->
                          ignore (Partition.Methods.run ~pool m ctx))))
                 Partition.Methods.all
-              @ [
-                  Test.make
-                    ~name:(Fmt.str "%s/partitioner-bisect-par%d" name d)
-                    (Staged.stage (fun () ->
-                         ignore
-                           (Graphpart.Partitioner.bisect ~config:pcfg ~pool
-                              graph)));
-                  Test.make
-                    ~name:(Fmt.str "%s/partitioner-kway4-par%d" name d)
-                    (Staged.stage (fun () ->
-                         ignore
-                           (Graphpart.Partitioner.kway ~config:pcfg ~pool graph
-                              ~nparts:4)));
-                ]
         in
         method_tests @ partitioner_tests @ par_tests)
       prepared

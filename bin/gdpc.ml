@@ -372,12 +372,9 @@ let par_domains_arg =
     & opt int 1
     & info [ "par-domains" ] ~docv:"N"
         ~doc:
-          "Domains for intra-compile parallelism inside the partitioning \
-           passes.  1 (the default) is the sequential pipeline with \
-           byte-identical output to previous releases; N >= 2 switches to \
-           the deterministic parallel drivers, whose output is identical \
-           for every N >= 2 (on any machine) but may differ from the \
-           sequential one for the gdp method.")
+          "Domains that run the partitioning passes (default 1).  An \
+           execution width only: the output is byte-identical for every \
+           N; only the wall clock changes.")
 
 let partition_cmd =
   let run obs file input method_ latency clusters machine_name par_domains
@@ -406,7 +403,6 @@ let partition_cmd =
           {
             (Gdp_core.Pipeline.Settings.default method_) with
             machine = spec;
-            par_domains;
           }
         in
         let e =
@@ -414,7 +410,7 @@ let partition_cmd =
             match
               Gdp_core.Pipeline.run ~prepared ~ctx
                 ~mode:(Gdp_core.Pipeline.Robust { verify = true })
-                settings
+                ~par_workers:par_domains settings
             with
             | Error m -> raise (Cli_error m)
             | Ok (Gdp_core.Pipeline.Evaluated _) -> assert false
@@ -432,7 +428,8 @@ let partition_cmd =
           end
           else
             match
-              Gdp_core.Pipeline.run ~ctx ~mode:Gdp_core.Pipeline.Plain settings
+              Gdp_core.Pipeline.run ~ctx ~mode:Gdp_core.Pipeline.Plain
+                ~par_workers:par_domains settings
             with
             | Ok (Gdp_core.Pipeline.Evaluated e) -> e
             | Ok (Gdp_core.Pipeline.Degraded _) -> assert false
@@ -819,13 +816,11 @@ let serve_cmd =
   let par_workers_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt int 1
       & info [ "par-domains" ] ~docv:"N"
           ~doc:
-            "Cap the domains any single job's intra-compile parallelism \
-             (settings field par_domains) may actually use.  An \
-             execution-width limit for loaded hosts; artifacts never \
-             depend on it.")
+            "Domains that run each job's partitioning passes (default 1).  \
+             An execution width only: artifacts never depend on it.")
   in
   let events_arg =
     Arg.(
@@ -950,8 +945,8 @@ let submit_cmd =
              retry_after_ms backpressure hint, sleeping the hinted \
              interval between attempts.")
   in
-  let run obs file input method_ latency clusters machine_name par_domains
-      server deadline verify repeat inline json connect_timeout io_timeout
+  let run obs file input method_ latency clusters machine_name server
+      deadline verify repeat inline json connect_timeout io_timeout
       retries =
     handle_errors (fun () ->
         if repeat < 1 then raise (Cli_error "--repeat must be at least 1");
@@ -960,7 +955,6 @@ let submit_cmd =
           {
             (Gdp_core.Pipeline.Settings.default method_) with
             machine = machine_spec_of_args ~machine:machine_name ~clusters ~latency;
-            par_domains;
           }
         in
         let job i =
@@ -1028,7 +1022,7 @@ let submit_cmd =
           the artifact.")
     Term.(
       const run $ obs_term $ file_arg $ input_arg $ method_arg $ latency_arg
-      $ clusters_arg $ machine_arg $ par_domains_arg $ endpoint_arg
+      $ clusters_arg $ machine_arg $ endpoint_arg
       $ deadline_arg $ verify_arg $ repeat_arg $ inline_arg $ json_arg
       $ connect_timeout_arg $ io_timeout_arg $ retries_arg)
 

@@ -31,13 +31,11 @@ let jobs_arg =
 let par_workers_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt int 1
     & info [ "par-domains" ] ~docv:"N"
         ~doc:
-          "Cap the domains any single job's intra-compile parallelism \
-           (settings field par_domains) may actually use.  An \
-           execution-width limit for loaded hosts; artifacts never depend \
-           on it.")
+          "Domains that run each job's partitioning passes (default 1).  An \
+           execution width only: artifacts never depend on it.")
 
 let cache_arg =
   Arg.(

@@ -144,30 +144,26 @@ type evaluation = {
   report : Vliw_sched.Perf.report;
 }
 
-(* Scope a [Par] pool around one method run when [par_domains >= 2];
-   [par_domains = 1] (the default everywhere) never touches [Par] and
-   stays byte-identical to the historical sequential pipeline.  The pool
-   lives exactly as long as the partitioning work: it is torn down
-   before control returns to callers that may fork ([Exec] pools),
-   because worker domains do not survive [fork]. *)
-(* [workers] caps the execution width only (how many domains actually
-   run); the semantic request [par_domains] — the only thing artifacts
-   may depend on — is untouched, so a capped run produces the same
-   output, just slower.  See the [Par] interface notes. *)
-let with_opt_pool ?workers par_domains f =
-  if par_domains >= 2 then
-    Par.with_pool ?workers ~domains:par_domains (fun pool -> f (Some pool))
-  else f None
+(* Scope a [Par] pool of [par_workers] domains around one method run;
+   1 (the default everywhere) never touches [Par].  The width changes
+   only the wall clock, never the outcome.  The pool lives exactly as
+   long as the partitioning work: it is torn down before control
+   returns to callers that may fork ([Exec] pools), because worker
+   domains do not survive [fork]. *)
+let run_method ?rhop_config ?gdp_config ?(par_workers = 1) ctx method_ =
+  if par_workers >= 2 then
+    Par.with_pool ~domains:par_workers (fun pool ->
+        Methods.run ?rhop_config ?gdp_config ~pool method_ ctx)
+  else Methods.run ?rhop_config ?gdp_config method_ ctx
 
 (* Run one method and price it under the cycle model — the shared core
    behind [run] and the [evaluate] wrapper. *)
-let evaluate_with ?rhop_config ?gdp_config ?(par_domains = 1) ?par_workers
+let evaluate_with ?rhop_config ?gdp_config ?par_workers
     (ctx : Methods.context) method_ : evaluation =
   Telemetry.with_span "evaluate" ~args:[ ("method", Methods.name method_) ]
     (fun () ->
       let outcome =
-        with_opt_pool ?workers:par_workers par_domains (fun pool ->
-            Methods.run ?rhop_config ?gdp_config ?pool method_ ctx)
+        run_method ?rhop_config ?gdp_config ?par_workers ctx method_
       in
       let report = Methods.evaluate ctx outcome in
       { outcome; report })
@@ -243,16 +239,14 @@ let verify p ctx e = Telemetry.with_span "verify" (fun () -> verify_body p ctx e
    cluster).  With [?verify_against] the full differential check
    (clustered interpretation + cycle simulation vs. the reference run)
    is included. *)
-let checked_with ?rhop_config ?gdp_config ?(par_domains = 1) ?par_workers
-    ?verify_against (ctx : Methods.context) method_ :
-    (evaluation, string) result =
+let checked_with ?rhop_config ?gdp_config ?par_workers ?verify_against
+    (ctx : Methods.context) method_ : (evaluation, string) result =
   match
     Telemetry.with_span "evaluate-checked"
       ~args:[ ("method", Methods.name method_) ]
       (fun () ->
         let outcome =
-          with_opt_pool ?workers:par_workers par_domains (fun pool ->
-              Methods.run ?rhop_config ?gdp_config ?pool method_ ctx)
+          run_method ?rhop_config ?gdp_config ?par_workers ctx method_
         in
         Vliw_sched.Assignment.validate
           outcome.Methods.clustered.Vliw_sched.Move_insert.cassign
@@ -297,7 +291,7 @@ let pp_fallback ppf f =
    the result (and counted as a detected fault); a successful fallback
    counts as a recovery.  [Error] only when every method in the chain
    fails. *)
-let robust_with ?rhop_config ?gdp_config ?par_domains ?par_workers ~verify
+let robust_with ?rhop_config ?gdp_config ?par_workers ~verify
     (p : prepared) (ctx : Methods.context) method_ : (robust, string) result =
   Telemetry.with_span "evaluate-robust"
     ~args:[ ("method", Methods.name method_) ]
@@ -311,8 +305,8 @@ let robust_with ?rhop_config ?gdp_config ?par_domains ?par_workers ~verify
              (List.rev fallbacks))
     | m :: rest -> (
         match
-          checked_with ?rhop_config ?gdp_config ?par_domains ?par_workers
-            ?verify_against ctx m
+          checked_with ?rhop_config ?gdp_config ?par_workers ?verify_against
+            ctx m
         with
         | Ok e ->
             if fallbacks <> [] then begin
@@ -353,12 +347,6 @@ module Settings = struct
     merge_low_slack : bool option;
     rhop : Partition.Rhop.config option;
     gdp : Partition.Gdp.config option;
-    par_domains : int;
-        (** intra-compile parallelism: domains used by the partitioning
-            passes.  1 (the default) is the historical sequential
-            pipeline, byte-identical artifacts included; >= 2 selects
-            the deterministic parallel drivers (same artifacts for any
-            value >= 2).  See [docs/parallelism.md]. *)
   }
 
   let schema = "gdp-settings/1"
@@ -369,13 +357,14 @@ module Settings = struct
      fails a too-new client with a clear message instead of
      misinterpreting it.  Version history:
      - 1: the original record.
-     - 2: adds [par_domains] (missing field reads as 1 = sequential).
+     - 2: adds [par_domains] (missing field reads as 1).  The field has
+       since left the record: [of_json] still accepts an int >= 1 and
+       ignores it, [to_json] no longer emits it.
      - 3: replaces the bare [clusters]/[move_latency] ints with a
        ["machine"] field (a [Machine_spec] document or preset name).
        Legacy pairs are still accepted and canonicalized through
        [Machine_spec.of_legacy]; [to_json] emits the legacy pair (as a
-       version-2 document) whenever the spec has that shape, so
-       paper-machine settings digest byte-identically to the seed. *)
+       version-2 document) whenever the spec has that shape. *)
   let version = 3
 
   let default method_ =
@@ -389,7 +378,6 @@ module Settings = struct
       merge_low_slack = None;
       rhop = None;
       gdp = None;
-      par_domains = 1;
     }
 
   let machine (s : t) = Machine_spec.resolve s.machine
@@ -416,10 +404,9 @@ module Settings = struct
         ]
     in
     (* Legacy-shaped machines round-trip through the version-2 wire
-       form (bare ints): documents — and therefore [gdpcd] cache keys —
-       for every machine a v2 client could name are byte-identical to
-       what a v2 build emits.  Anything else needs the v3 ["machine"]
-       field. *)
+       form (bare ints), so a v2 reader can parse every document for a
+       machine a v2 client could name.  Anything else needs the v3
+       ["machine"] field. *)
     let machine_fields =
       match Machine_spec.legacy_shape s.machine with
       | Some (clusters, move_latency) ->
@@ -446,7 +433,6 @@ module Settings = struct
         ("merge_low_slack", Minijson.option Minijson.bool s.merge_low_slack);
         ("rhop", Minijson.option rhop_json s.rhop);
         ("gdp", Minijson.option gdp_json s.gdp);
-        ("par_domains", Minijson.int s.par_domains);
       ])
 
   let ( let* ) = Result.bind
@@ -617,18 +603,17 @@ module Settings = struct
       | None | Some Minijson.Null -> Ok None
       | Some v -> Result.map Option.some (gdp_of_json v)
     in
-    (* added in version 2; absent in v1 documents = sequential *)
-    let* par_domains =
-      match Minijson.member "par_domains" doc with
-      | None -> Ok 1
-      | Some v -> as_int "par_domains" v
-    in
+    (* version 2's [par_domains] no longer selects anything: it is
+       still validated, then ignored *)
     let* () =
-      if par_domains < 1 then
-        Error
-          (Printf.sprintf "settings: par_domains must be >= 1 (got %d)"
-             par_domains)
-      else Ok ()
+      match Minijson.member "par_domains" doc with
+      | None -> Ok ()
+      | Some v ->
+          let* n = as_int "par_domains" v in
+          if n < 1 then
+            Error
+              (Printf.sprintf "settings: par_domains must be >= 1 (got %d)" n)
+          else Ok ()
     in
     Ok
       {
@@ -641,7 +626,6 @@ module Settings = struct
         merge_low_slack;
         rhop;
         gdp;
-        par_domains;
       }
 end
 
@@ -681,7 +665,7 @@ let run ?prepared:p ?ctx ?(mode = Plain) ?par_workers (s : Settings.t) :
           Ok
             (Evaluated
                (evaluate_with ?rhop_config ?gdp_config
-                  ~par_domains:s.Settings.par_domains ?par_workers ctx method_))
+                  ?par_workers ctx method_))
       | Checked { verify } -> (
           match (verify, p) with
           | true, None ->
@@ -691,8 +675,7 @@ let run ?prepared:p ?ctx ?(mode = Plain) ?par_workers (s : Settings.t) :
               Result.map
                 (fun e -> Evaluated e)
                 (checked_with ?rhop_config ?gdp_config
-                   ~par_domains:s.Settings.par_domains ?par_workers
-                   ?verify_against ctx method_))
+                   ?par_workers ?verify_against ctx method_))
       | Robust { verify } -> (
           match p with
           | None -> Error "Pipeline.run: Robust mode needs ~prepared"
@@ -700,8 +683,7 @@ let run ?prepared:p ?ctx ?(mode = Plain) ?par_workers (s : Settings.t) :
               Result.map
                 (fun r -> Degraded r)
                 (robust_with ?rhop_config ?gdp_config
-                   ~par_domains:s.Settings.par_domains ?par_workers ~verify p
-                   ctx method_)))
+                   ?par_workers ~verify p ctx method_)))
 
 (* ------------------------------------------------------------------ *)
 (* Compatibility wrappers: the pre-[Settings] signatures, re-expressed

@@ -162,14 +162,6 @@ module Settings : sig
     merge_low_slack : bool option;  (** [None] = context default *)
     rhop : Partition.Rhop.config option;  (** [None] = partitioner default *)
     gdp : Partition.Gdp.config option;
-    par_domains : int;
-        (** intra-compile parallelism (version 2): domains used by the
-            partitioning passes.  1 (the default, and what a version-1
-            document reads as) is the historical sequential pipeline
-            with byte-identical artifacts; >= 2 selects the
-            deterministic parallel drivers, whose artifacts are the
-            same for every value >= 2 and on either [Par] backend.  See
-            [docs/parallelism.md]. *)
   }
 
   (** Paper defaults: the 2-cluster bus machine with 5-cycle moves, all
@@ -203,10 +195,10 @@ module Settings : sig
 
       The machine travels as the ["machine"] field — a preset name or a
       gdp-machine/1 spec object — except that legacy-shaped specs are
-      emitted as the version-2 ["clusters"]/["move_latency"] pair, so
-      every document a v2 build could produce round-trips byte-for-byte
-      (and the [gdpcd] cache keys derived from it are stable).  A
-      document carrying both forms at once is rejected. *)
+      emitted as the version-2 ["clusters"]/["move_latency"] pair.  A
+      document carrying both forms at once is rejected.  A version-2
+      ["par_domains"] field is accepted (an int >= 1) and ignored: the
+      domain count is an execution width, not a setting. *)
   val to_json : t -> Minijson.t
 
   val of_json : Minijson.t -> (t, string) result
@@ -234,12 +226,9 @@ type run_result =
     the two is required, and modes that verify against the reference
     run ([Checked {verify = true}], [Robust _]) need [~prepared].
 
-    [?par_workers] caps how many domains actually run when
-    [Settings.par_domains >= 2] — an execution-width limit for
-    resource-constrained hosts (e.g. a loaded [gdpcd] server).  It
-    never affects artifacts: the parallel drivers' results depend only
-    on the semantic [par_domains] request, so a capped run returns the
-    same answer, just on fewer cores. *)
+    [?par_workers] (default 1) is how many domains run the partitioning
+    passes.  It is an execution width only: the result is the same for
+    every value, just faster or slower.  See [docs/parallelism.md]. *)
 val run :
   ?prepared:prepared ->
   ?ctx:Partition.Methods.context ->

@@ -255,44 +255,6 @@ let induce g (ids : int array) =
   let weights = Array.map (fun v -> Array.copy g.vwgt.(v)) ids in
   { n = k; ncon = g.ncon; vwgt = weights; xadj; adjncy; adjwgt }
 
-(* [relabel g perm]: node [perm.(i)] of [g] becomes node [i].  Rows are
-   re-sorted so the CSR invariant (sorted adjacency) is preserved. *)
-let relabel g (perm : int array) =
-  let n = g.n in
-  if Array.length perm <> n then
-    invalid_arg "Graph.relabel: permutation arity mismatch";
-  let index_of = Array.make n (-1) in
-  Array.iteri
-    (fun i v ->
-      if v < 0 || v >= n || index_of.(v) >= 0 then
-        invalid_arg "Graph.relabel: not a permutation";
-      index_of.(v) <- i)
-    perm;
-  let xadj = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let v = perm.(i) in
-    xadj.(i + 1) <- xadj.(i) + (g.xadj.(v + 1) - g.xadj.(v))
-  done;
-  let m = xadj.(n) in
-  let adjncy = Array.make m 0 and adjwgt = Array.make m 0 in
-  for i = 0 to n - 1 do
-    let v = perm.(i) in
-    let deg = g.xadj.(v + 1) - g.xadj.(v) in
-    let row =
-      Array.init deg (fun k ->
-          let j = g.xadj.(v) + k in
-          (index_of.(g.adjncy.(j)), g.adjwgt.(j)))
-    in
-    Array.sort compare row;
-    Array.iteri
-      (fun k (u, w) ->
-        adjncy.(xadj.(i) + k) <- u;
-        adjwgt.(xadj.(i) + k) <- w)
-      row
-  done;
-  let weights = Array.map (fun v -> Array.copy g.vwgt.(v)) perm in
-  { n; ncon = g.ncon; vwgt = weights; xadj; adjncy; adjwgt }
-
 let pp ppf g =
   Fmt.pf ppf "@[<v>graph: %d nodes, %d edges, %d constraint(s)@]" g.n
     (num_edges g) g.ncon

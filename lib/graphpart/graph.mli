@@ -65,11 +65,4 @@ val contract : t -> coarse_of:int array -> num_coarse:int -> t
     ids); node [i] of the result is [ids.(i)]. *)
 val induce : t -> int array -> t
 
-(** [relabel g perm] is [g] with node [perm.(i)] renamed to [i] —
-    [perm] must be a permutation of the node ids.  Weights and edges
-    follow; adjacency rows stay sorted.  Cuts and balances of a
-    partition transfer through the relabeling unchanged, which is what
-    the multi-seed FM polish relies on. *)
-val relabel : t -> int array -> t
-
 val pp : t Fmt.t

@@ -31,13 +31,6 @@ type config = {
       (** independent multilevel starts; coarsening tie-breaks are
           random, so each start explores a different level hierarchy and
           the best finest-level result wins *)
-  fm_seeds : int;
-      (** par-mode only: speculative multi-seed FM — after the best
-          start is chosen, [fm_seeds] final refinement passes run in
-          parallel, each on a seeded node relabeling of the graph (seed
-          0 is the identity = the plain polish), and the best
-          (infeasibility, cut) wins.  Ignored on the sequential path,
-          which stays byte-identical to the pre-par implementation. *)
   refine_cycles : int;
       (** extra restricted V-cycles after the first multilevel pass: the
           graph is re-coarsened with matching restricted to same-part
@@ -57,7 +50,6 @@ let default_config ~ncon =
     initial_tries = 8;
     fm_max_bad_moves = 32;
     starts = 5;
-    fm_seeds = 4;
     refine_cycles = 3;
   }
 
@@ -161,212 +153,12 @@ let coarsen_once ?(part : int array option) rng (g : Graph.t) :
   if cn >= n then None
   else Some (Graph.contract g ~coarse_of ~num_coarse:cn, coarse_of)
 
-(** Par-mode round of matching: deterministic local-max matching over
-    the CSR vertex ranges.  Each node draws a random priority key from
-    the caller's rng (exactly [n] draws, so the per-start stream stays
-    aligned whatever the pool width), then rounds alternate between a
-    propose phase — every unmatched node picks its heaviest unmatched
-    neighbor, ties broken by (key, lower id) — and a match phase that
-    pairs mutual proposals.  Both phases are data-parallel over vertex
-    ranges: propose reads only the previous round's matching, and in
-    the match phase each cell has exactly one writer (the lower
-    endpoint of its pair), so the result is independent of the chunking
-    and of the domain count — it depends only on the rng keys.  Unlike
-    the sequential matcher, whose greedy visit order makes later
-    matches depend on earlier ones, rounds converge to a maximal
-    matching of mutual local maxima (the standard parallel-METIS
-    idiom).  A final aggregation pass then folds every node the
-    matching left unmatched into the cluster of its heaviest matched
-    neighbor under a weight cap, so star-shaped regions contract in
-    one level instead of one leaf per level. *)
-let coarsen_once_par pool ?(part : int array option) rng (g : Graph.t) :
-    (Graph.t * int array) option =
-  let n = Graph.num_nodes g in
-  let keys = Array.make n 0 in
-  for v = 0 to n - 1 do
-    keys.(v) <- Random.State.bits rng
-  done;
-  let xadj = Graph.adj_offsets g
-  and adjncy = Graph.adj_targets g
-  and adjwgt = Graph.adj_weights g in
-  let same_part =
-    match part with
-    | None -> fun _ _ -> true
-    | Some p -> fun u v -> p.(u) = p.(v)
-  in
-  let matched = Array.make n (-1) in
-  let pref = Array.make n (-1) in
-  (* The fixpoint of mutual-best matching does not depend on which
-     nodes are rescanned when, so each round only revisits the frontier
-     of still-unmatched nodes that had a live candidate last time —
-     total work stays near-linear instead of paying a full-graph scan
-     per round.  A node whose candidate set ever empties can be dropped
-     for good: matching only removes candidates. *)
-  let active = ref (Array.init n Fun.id) in
-  let progress = ref true in
-  let rounds = ref 0 in
-  while !progress && Array.length !active > 0 && !rounds < 64 do
-    incr rounds;
-    let act = !active in
-    let na = Array.length act in
-    Par.parallel_chunks pool ~n:na (fun lo hi ->
-        for i = lo to hi - 1 do
-          let v = act.(i) in
-          (* the candidate order (weight, key, id) is static and
-             candidates only ever disappear, so a cached best that is
-             still unmatched is still the best — only rescan when the
-             previous pick got matched away *)
-          let cached = pref.(v) in
-          if cached < 0 || matched.(cached) <> -1 then begin
-            let best = ref (-1) and best_w = ref (-1) and best_k = ref 0 in
-            for j = xadj.(v) to xadj.(v + 1) - 1 do
-              let u = adjncy.(j) and w = adjwgt.(j) in
-              if matched.(u) = -1 && u <> v && same_part u v then
-                if
-                  w > !best_w
-                  || w = !best_w
-                     && (keys.(u) > !best_k
-                        || (keys.(u) = !best_k && u < !best))
-                then begin
-                  best := u;
-                  best_w := w;
-                  best_k := keys.(u)
-                end
-            done;
-            pref.(v) <- !best
-          end
-        done);
-    let made = Atomic.make false in
-    Par.parallel_chunks pool ~n:na (fun lo hi ->
-        for i = lo to hi - 1 do
-          let v = act.(i) in
-          let u = pref.(v) in
-          if matched.(v) = -1 && u > v && pref.(u) = v && matched.(u) = -1
-          then begin
-            matched.(v) <- u;
-            matched.(u) <- v;
-            Atomic.set made true
-          end
-        done);
-    progress := Atomic.get made;
-    if !progress then begin
-      let keep = ref 0 in
-      Array.iter
-        (fun v -> if matched.(v) = -1 && pref.(v) <> -1 then incr keep)
-        act;
-      let next = Array.make !keep 0 in
-      let k = ref 0 in
-      Array.iter
-        (fun v ->
-          if matched.(v) = -1 && pref.(v) <> -1 then begin
-            next.(!k) <- v;
-            incr k
-          end)
-        act;
-      active := next
-    end
-  done;
-  (* Aggregation pass.  At the matching fixpoint every still-unmatched
-     node has only matched neighbors (an unmatched adjacent same-part
-     pair would still contain a mutual-best edge), so star-shaped
-     regions — where any maximal matching pairs the hub with a single
-     leaf and shrinks the graph by one node per level — would
-     degenerate the cascade into hundreds of levels.  Instead, each
-     unmatched node proposes to join the cluster of its heaviest
-     matched same-part neighbor (ties by key then lower id — a pure
-     function of the graph and the keys, so the parallel scan is
-     chunk-invariant); proposals are applied below in a sequential
-     index-order pass under a per-constraint cluster-weight cap, which
-     keeps coarse nodes small enough for a feasible bisection. *)
-  let agg = Array.make n (-1) in
-  Par.parallel_chunks pool ~n (fun lo hi ->
-      for v = lo to hi - 1 do
-        if matched.(v) = -1 then begin
-          let best = ref (-1) and best_w = ref (-1) and best_k = ref 0 in
-          for j = xadj.(v) to xadj.(v + 1) - 1 do
-            let u = adjncy.(j) and w = adjwgt.(j) in
-            if matched.(u) <> -1 && same_part u v then
-              if
-                w > !best_w
-                || w = !best_w
-                   && (keys.(u) > !best_k
-                      || (keys.(u) = !best_k && u < !best))
-              then begin
-                best := u;
-                best_w := w;
-                best_k := keys.(u)
-              end
-          done;
-          agg.(v) <- !best
-        end
-      done);
-  (* matched pairs and isolated singletons get coarse ids in index
-     order; aggregating nodes are deferred *)
-  let coarse_of = Array.make n (-1) in
-  let next = ref 0 in
-  for v = 0 to n - 1 do
-    if coarse_of.(v) = -1 then begin
-      let m = matched.(v) in
-      if m <> -1 then begin
-        coarse_of.(v) <- !next;
-        coarse_of.(m) <- !next;
-        incr next
-      end
-      else if agg.(v) = -1 then begin
-        coarse_of.(v) <- !next;
-        incr next
-      end
-    end
-  done;
-  let ncon = Graph.num_constraints g in
-  (* cap each cluster at 40% of the total weight: big enough to swallow
-     a whole star in one level (the sequential matcher builds the same
-     giant cluster anyway, one leaf per level), small enough that a
-     balanced bisection of the coarsest graph stays feasible *)
-  let cap =
-    Array.init ncon (fun c -> max 1 (2 * Graph.total_weight g c / 5))
-  in
-  let cw = Array.make (!next * ncon) 0 in
-  for v = 0 to n - 1 do
-    if coarse_of.(v) >= 0 then
-      for c = 0 to ncon - 1 do
-        let i = (coarse_of.(v) * ncon) + c in
-        cw.(i) <- cw.(i) + Graph.node_weight g v c
-      done
-  done;
-  for v = 0 to n - 1 do
-    if coarse_of.(v) = -1 then begin
-      let t = coarse_of.(agg.(v)) in
-      let fits = ref true in
-      for c = 0 to ncon - 1 do
-        if cw.((t * ncon) + c) + Graph.node_weight g v c > cap.(c) then
-          fits := false
-      done;
-      if !fits then begin
-        coarse_of.(v) <- t;
-        for c = 0 to ncon - 1 do
-          let i = (t * ncon) + c in
-          cw.(i) <- cw.(i) + Graph.node_weight g v c
-        done
-      end
-      else begin
-        (* over the cap: a fresh singleton (nothing ever joins it, so
-           its weight needs no tracking) *)
-        coarse_of.(v) <- !next;
-        incr next
-      end
-    end
-  done;
-  let cn = !next in
-  if cn >= n then None
-  else Some (Graph.contract g ~coarse_of ~num_coarse:cn, coarse_of)
-
 (** Coarsen down to [cfg.coarsen_until] nodes; returns the levels from
     finest to coarsest (each with the map into the next), the coarsest
     graph, and — when [part] was given — [part] projected onto the
     coarsest graph (restricted coarsening keeps each coarse node inside
     one part, so the projection is well defined). *)
-let coarsen ?part ~matcher rng cfg (g : Graph.t) :
+let coarsen ?part rng cfg (g : Graph.t) :
     level list * Graph.t * int array option =
   let rec go lvl acc g part =
     if Graph.num_nodes g <= cfg.coarsen_until then (List.rev acc, g, part)
@@ -378,7 +170,7 @@ let coarsen ?part ~matcher rng cfg (g : Graph.t) :
               ("level", string_of_int lvl);
               ("nodes", string_of_int (Graph.num_nodes g));
             ]
-          (fun () -> matcher ?part rng g)
+          (fun () -> coarsen_once ?part rng g)
       with
       | None -> (List.rev acc, g, part)
       | Some (cg, map) ->
@@ -644,8 +436,8 @@ let project cfg (levels : level list) coarse_part =
 
 (* one full multilevel start: coarsen, several greedy growings + FM on
    the coarsest graph, project the best back up *)
-let one_start ~matcher rng cfg g =
-  let levels, coarsest, _ = coarsen ~matcher rng cfg g in
+let one_start rng cfg g =
+  let levels, coarsest, _ = coarsen rng cfg g in
   let part =
     Telemetry.with_span "initial-partition"
       ~args:[ ("nodes", string_of_int (Graph.num_nodes coarsest)) ]
@@ -666,31 +458,36 @@ let one_start ~matcher rng cfg g =
 (* restricted V-cycles: re-coarsen along the current partition and
    refine again from the coarsest level up.  Monotone in the
    (infeasibility, cut) order, so extra cycles can only help. *)
-let vcycles ~matcher rng cfg g part =
+let vcycles rng cfg g part =
   let part = ref part in
   for _cycle = 1 to max 0 cfg.refine_cycles do
-    let levels, coarsest, cpart = coarsen ~part:!part ~matcher rng cfg g in
+    let levels, coarsest, cpart = coarsen ~part:!part rng cfg g in
     let cpart = match cpart with Some p -> p | None -> !part in
     fm_refine cfg coarsest cpart;
     part := project cfg levels cpart
   done;
   !part
 
-(** Sequential driver — byte-identical to the historical implementation:
-    one shared rng threads through every start, and coarsening ties are
-    decided by the greedy matcher's random visit order. *)
-let bisect_seq cfg (g : Graph.t) : int array =
+(** Bisect [g]; returns a 0/1 assignment per node.  One rng threads
+    through every start, so the result is a function of [cfg] and [g]
+    alone. *)
+let bisect ?(config : config option) (g : Graph.t) : int array =
+  let cfg =
+    match config with
+    | Some c -> c
+    | None -> default_config ~ncon:(Graph.num_constraints g)
+  in
+  validate_config g cfg;
   let rng = Random.State.make [| cfg.seed |] in
-  let matcher = coarsen_once in
   (* coarsening ties are decided by the rng, so independent starts see
      different level hierarchies; V-cycle each one and keep the best
      finest-level result *)
-  let p0 = one_start ~matcher rng cfg g in
-  let part = ref (vcycles ~matcher rng cfg g p0) in
+  let p0 = one_start rng cfg g in
+  let part = ref (vcycles rng cfg g p0) in
   let score = ref (evaluate cfg g !part) in
   for _start = 2 to max 1 cfg.starts do
-    let c0 = one_start ~matcher rng cfg g in
-    let cand = vcycles ~matcher rng cfg g c0 in
+    let c0 = one_start rng cfg g in
+    let cand = vcycles rng cfg g c0 in
     let cscore = evaluate cfg g cand in
     if compare cscore !score < 0 then begin
       part := cand;
@@ -699,103 +496,14 @@ let bisect_seq cfg (g : Graph.t) : int array =
   done;
   !part
 
-(** Speculative multi-seed FM polish: [cfg.fm_seeds] final refinement
-    passes run through the pool, each on a seeded node relabeling of the
-    graph.  Seed 0 is the identity relabeling (the plain polish); seed
-    [k > 0] shuffles the node ids with [Random.State.make [| cfg.seed;
-    k; 0x5EED |]], refines the relabeled instance, and maps the result
-    back.  FM's visit order — hence its local minimum — depends on node
-    ids, so distinct relabelings explore genuinely different refinement
-    trajectories while cuts and balances transfer through the relabeling
-    unchanged.  The best (infeasibility, cut) wins; ties go to the
-    lowest seed, so the choice is independent of the pool width. *)
-let multi_seed_fm pool cfg (g : Graph.t) (part : int array) : int array =
-  let k = max 1 cfg.fm_seeds in
-  let candidates =
-    Par.map pool ~n:k (fun seed ->
-        if seed = 0 then begin
-          let p = Array.copy part in
-          fm_refine cfg g p;
-          (evaluate cfg g p, p)
-        end
-        else begin
-          let n = Graph.num_nodes g in
-          let rng = Random.State.make [| cfg.seed; seed; 0x5EED |] in
-          let perm = Array.init n Fun.id in
-          for i = n - 1 downto 1 do
-            let j = Random.State.int rng (i + 1) in
-            let t = perm.(i) in
-            perm.(i) <- perm.(j);
-            perm.(j) <- t
-          done;
-          let rg = Graph.relabel g perm in
-          let rp = Array.make n 0 in
-          for i = 0 to n - 1 do
-            rp.(i) <- part.(perm.(i))
-          done;
-          fm_refine cfg rg rp;
-          let out = Array.make n 0 in
-          for i = 0 to n - 1 do
-            out.(perm.(i)) <- rp.(i)
-          done;
-          (evaluate cfg g out, out)
-        end)
-  in
-  let best = ref 0 in
-  for s = 1 to k - 1 do
-    let score, _ = candidates.(s) and bscore, _ = candidates.(!best) in
-    if compare score bscore < 0 then best := s
-  done;
-  snd candidates.(!best)
-
-(** Parallel driver (pool parallelism >= 2).  Each start owns an
-    independent rng stream seeded [| cfg.seed; start |], so starts are
-    order-free and run concurrently; the best (infeasibility, cut) wins
-    with ties to the lowest start index.  Coarsening uses the local-max
-    matcher and the winner gets a multi-seed FM polish.  Results depend
-    only on [cfg] — never on the domain count or the backend — but
-    differ from [bisect_seq]'s, which replays the historical
-    rng-chained trajectory. *)
-let bisect_par pool cfg (g : Graph.t) : int array =
-  let matcher = coarsen_once_par pool in
-  let nstarts = max 1 cfg.starts in
-  let starts =
-    Par.map pool ~n:nstarts (fun s ->
-        let rng = Random.State.make [| cfg.seed; s |] in
-        let p0 = one_start ~matcher rng cfg g in
-        let p = vcycles ~matcher rng cfg g p0 in
-        (evaluate cfg g p, p))
-  in
-  let best = ref 0 in
-  for s = 1 to nstarts - 1 do
-    let score, _ = starts.(s) and bscore, _ = starts.(!best) in
-    if compare score bscore < 0 then best := s
-  done;
-  multi_seed_fm pool cfg g (snd starts.(!best))
-
-(** Bisect [g]; returns a 0/1 assignment per node.  With a [pool] of
-    parallelism >= 2 the deterministic parallel driver runs (same
-    artifact for any domain count >= 2, on either backend); otherwise
-    the byte-identical historical sequential path. *)
-let bisect ?(config : config option) ?pool (g : Graph.t) : int array =
-  let cfg =
-    match config with
-    | Some c -> c
-    | None -> default_config ~ncon:(Graph.num_constraints g)
-  in
-  validate_config g cfg;
-  match pool with
-  | Some pool when Par.parallelism pool >= 2 -> bisect_par pool cfg g
-  | _ -> bisect_seq cfg g
-
 (** Recursive bisection into [nparts] (a power of two).  Imbalance is
     applied at every level, so the final tolerance compounds slightly. *)
-let rec kway ?config ?pool (g : Graph.t) ~nparts : int array =
+let rec kway ?config (g : Graph.t) ~nparts : int array =
   if nparts < 1 || nparts land (nparts - 1) <> 0 then
     invalid_arg "Partitioner.kway: nparts must be a positive power of two";
   if nparts = 1 then Array.make (Graph.num_nodes g) 0
   else begin
-    let half = bisect ?config ?pool g in
+    let half = bisect ?config g in
     if nparts = 2 then half
     else begin
       (* split each side into an induced CSR subgraph and recurse *)
@@ -816,7 +524,7 @@ let rec kway ?config ?pool (g : Graph.t) ~nparts : int array =
             end
           done;
           let sub = Graph.induce g ids in
-          let sub_part = kway ?config ?pool sub ~nparts:(nparts / 2) in
+          let sub_part = kway ?config sub ~nparts:(nparts / 2) in
           Array.iteri
             (fun i v ->
               result.(v) <- (side * nparts / 2) + sub_part.(i))

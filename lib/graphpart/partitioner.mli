@@ -17,12 +17,6 @@ type config = {
   starts : int;
       (** independent multilevel starts (different coarsening
           tie-breaks); the best finest-level result wins *)
-  fm_seeds : int;
-      (** par-mode only: speculative multi-seed FM — the winning start
-          gets [fm_seeds] concurrent final refinement passes, each on a
-          seeded node relabeling of the graph (seed 0 = identity), and
-          the best (infeasibility, cut) wins with ties to the lowest
-          seed.  Ignored on the sequential path. *)
   refine_cycles : int;
       (** extra restricted V-cycles after the first multilevel pass;
           each re-coarsens along the current partition and refines again
@@ -34,21 +28,12 @@ val default_config : ncon:int -> config
 
 (** Bisect a graph; returns a 0/1 part per node.  Balance caps apply per
     constraint; when exact feasibility is impossible (bin-packing), the
-    result is as close as FM gets.
+    result is as close as FM gets.  Deterministic: the result depends
+    only on [config] and the graph. *)
+val bisect : ?config:config -> Graph.t -> int array
 
-    Without a pool (or with one of parallelism 1) this is the
-    byte-identical historical sequential algorithm.  With a [pool] of
-    parallelism >= 2, the deterministic parallel driver runs instead:
-    independent per-start rng streams, local-max matching during
-    coarsening, and a speculative multi-seed FM polish.  Its result
-    depends only on [config] — the same for any domain count >= 2 and
-    on either [Par] backend — but legitimately differs from the
-    sequential result. *)
-val bisect : ?config:config -> ?pool:Par.pool -> Graph.t -> int array
-
-(** Recursive bisection into a power-of-two number of parts.  [?pool]
-    as in [bisect]. *)
-val kway : ?config:config -> ?pool:Par.pool -> Graph.t -> nparts:int -> int array
+(** Recursive bisection into a power-of-two number of parts. *)
+val kway : ?config:config -> Graph.t -> nparts:int -> int array
 
 (** One FM refinement stage on an existing bisection, in place: up to
     [passes] gain-bucket passes with best-prefix rollback.  Never makes

@@ -11,7 +11,6 @@
    because results land by index, never by completion order. *)
 
 let backend = "domains"
-let recommended () = max 1 (Domain.recommended_domain_count ())
 let is_main_domain () = Domain.is_main_domain ()
 
 type job = {
@@ -35,12 +34,10 @@ type shared = {
 type pool = {
   sh : shared;
   workers : unit Domain.t array;
-  domains : int;  (** semantic parallelism request *)
   owner : Domain.id;
   mutable busy : bool;  (** owner-domain flag: a job is in flight *)
 }
 
-let parallelism p = p.domains
 let size p = Array.length p.workers + 1
 
 let run_share sh (job : job) =
@@ -91,24 +88,13 @@ let fresh_shared () =
     stop = false;
   }
 
-let with_pool ?workers ~domains f =
-  let domains = max 1 domains in
-  (* Default the execution width to the machine: extra domains on an
-     oversubscribed box don't just idle, they stretch every minor-GC
-     stop-the-world barrier.  Width never changes results, so the cap
-     is always safe; pass [?workers] to override either way. *)
-  let width =
-    match workers with
-    | Some w -> max 1 (min w domains)
-    | None -> min domains (recommended ())
-  in
-  let nworkers = width - 1 in
+let with_pool ~domains f =
+  let nworkers = max 1 domains - 1 in
   if nworkers = 0 then
     f
       {
         sh = fresh_shared ();
         workers = [||];
-        domains;
         owner = Domain.self ();
         busy = false;
       }
@@ -117,7 +103,7 @@ let with_pool ?workers ~domains f =
     let workers =
       Array.init nworkers (fun _ -> Domain.spawn (fun () -> worker_loop sh))
     in
-    let pool = { sh; workers; domains; owner = Domain.self (); busy = false } in
+    let pool = { sh; workers; owner = Domain.self (); busy = false } in
     Fun.protect
       ~finally:(fun () ->
         Mutex.lock sh.m;

@@ -3,17 +3,12 @@
    a single domain there is nothing to exclude. *)
 
 let backend = "seq"
-let recommended () = 1
 let is_main_domain () = true
 
-type pool = { domains : int }
+type pool = unit
 
-let with_pool ?workers ~domains f =
-  ignore workers;
-  f { domains = max 1 domains }
-
-let parallelism p = p.domains
-let size _ = 1
+let with_pool ~domains:_ f = f ()
+let size () = 1
 
 let parallel_for _pool ~n body =
   for i = 0 to n - 1 do

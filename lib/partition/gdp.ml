@@ -113,7 +113,7 @@ let build_problem ?(config = default_config)
     prob_num_units = nunits;
   }
 
-let partition_objects ?config ?pool ~(machine : Vliw_machine.t)
+let partition_objects ?config ~(machine : Vliw_machine.t)
     ~(prog : Prog.t) ~(merge : Merge.t) ~(dfg : An.Prog_dfg.t)
     ~(profile : Vliw_interp.Profile.t) () : result =
   Telemetry.with_span "graph-partition" @@ fun () ->
@@ -130,8 +130,8 @@ let partition_objects ?config ?pool ~(machine : Vliw_machine.t)
   in
   let part =
     if num_clusters = 2 then
-      Graphpart.Partitioner.bisect ~config:pcfg ?pool graph
-    else Graphpart.Partitioner.kway ~config:pcfg ?pool graph ~nparts:num_clusters
+      Graphpart.Partitioner.bisect ~config:pcfg graph
+    else Graphpart.Partitioner.kway ~config:pcfg graph ~nparts:num_clusters
   in
   (* The bisection objective is mirror-symmetric, but the downstream
      computation partitioner is not: RHOP starts every free operation on

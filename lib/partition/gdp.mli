@@ -45,11 +45,8 @@ val build_problem :
   unit ->
   problem
 
-(** [?pool] (parallelism >= 2) selects the deterministic parallel
-    partitioner driver — see [Graphpart.Partitioner.bisect]. *)
 val partition_objects :
   ?config:config ->
-  ?pool:Par.pool ->
   machine:Vliw_machine.t ->
   prog:Prog.t ->
   merge:Merge.t ->

@@ -161,7 +161,7 @@ let unified_assignment ?rhop_config ?pool ctx : A.t =
 
 let run_gdp ?rhop_config ?gdp_config ?pool ctx : outcome =
   let r =
-    Gdp.partition_objects ?config:gdp_config ?pool ~machine:ctx.machine
+    Gdp.partition_objects ?config:gdp_config ~machine:ctx.machine
       ~prog:ctx.prog ~merge:ctx.merge ~dfg:ctx.dfg ~profile:ctx.profile ()
   in
   clustered_with_homes ?rhop_config ?pool ctx ~method_name:(name Gdp)

@@ -91,12 +91,9 @@ val run_naive : ?rhop_config:Rhop.config -> ?pool:Par.pool -> context -> outcome
 val run_unified :
   ?rhop_config:Rhop.config -> ?pool:Par.pool -> context -> outcome
 
-(** [?pool] (parallelism >= 2) enables intra-compile parallelism: GDP's
-    graph partitioner switches to its deterministic parallel driver
-    (result depends only on the configuration, not the domain count —
-    but differs from the sequential one), and RHOP partitions
-    independent blocks in dependency waves (bit-identical output).  See
-    [docs/parallelism.md]. *)
+(** [?pool] runs RHOP's independent blocks concurrently (see
+    [Rhop.partition]); the outcome is the same with or without it, for
+    any pool width.  See [docs/parallelism.md]. *)
 val run :
   ?rhop_config:Rhop.config ->
   ?gdp_config:Gdp.config ->

@@ -366,43 +366,61 @@ let apply_result ~(reg_home : (Reg.t, int) Hashtbl.t) (assign : A.t)
           List.iter (fun r -> Hashtbl.replace reg_home r c) (Op.defs o))
     (Block.ops b)
 
-(** Parallel per-function driver: blocks are scheduled in dependency
-    waves.  Block [j] depends on an earlier block [i] iff [i] defines a
-    register that [j] defines or uses — exactly the [reg_home] entries
-    [block_result] can observe for [j] (its pins read homes of used
-    registers, its locks read homes of defined ones).  Each wave
-    partitions its blocks concurrently against the quiescent [reg_home]
-    table, then results are committed in layout order on the calling
-    domain, reproducing the sequential [reg_home] evolution (including
-    last-write-wins and the re-homing check).  The assignment is
-    therefore bit-identical to the sequential driver's for any pool
-    width. *)
-let partition_func_waves pool ~machine ~config ~objects_of ~lock_of
+(** Per-function driver: blocks are scheduled in dependency waves.
+    [block_result] reads the [reg_home] entries of the registers a block
+    defines or uses, and [apply_result] writes those of the registers it
+    defines.  Two blocks conflict when one writes an entry the other
+    reads or writes; the later of the two in layout order goes in a
+    later wave.  Each wave partitions its blocks against the quiescent
+    [reg_home] table — concurrently when a [pool] is given, inline
+    otherwise — then results are committed in layout order on the
+    calling domain.  Every block therefore sees exactly the entries a
+    block-by-block layout-order walk would show it, so the assignment
+    is the same with or without a pool, for any pool width. *)
+let partition_func_waves ?pool ~machine ~config ~objects_of ~lock_of
     (assign : A.t) f : unit =
   let cfg = Vliw_analysis.Cfg.of_func f in
   let liveness = Vliw_analysis.Liveness.compute cfg in
   let reg_home : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
   let blocks = Array.of_list (Func.blocks f) in
   let nb = Array.length blocks in
-  let regs_of take b =
-    List.fold_left
-      (fun acc o ->
-        List.fold_left (fun acc r -> Reg.Set.add r acc) acc (take o))
-      Reg.Set.empty (Block.ops b)
+  (* one layout-order sweep: per register, the deepest wave that wrote
+     it and the deepest that touched it so far *)
+  let wrote : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
+  let touched : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
+  let after tbl r d =
+    match Hashtbl.find_opt tbl r with Some d' -> max d (d' + 1) | None -> d
   in
-  let defs = Array.map (regs_of Op.defs) blocks in
-  let touched =
-    Array.mapi (fun j b -> Reg.Set.union defs.(j) (regs_of Op.uses b)) blocks
+  let raise_to tbl r d =
+    match Hashtbl.find_opt tbl r with
+    | Some d' when d' >= d -> ()
+    | _ -> Hashtbl.replace tbl r d
   in
-  let depth = Array.make nb 0 in
-  for j = 0 to nb - 1 do
-    for i = 0 to j - 1 do
-      if
-        depth.(i) >= depth.(j)
-        && not (Reg.Set.is_empty (Reg.Set.inter defs.(i) touched.(j)))
-      then depth.(j) <- depth.(i) + 1
-    done
-  done;
+  let depth =
+    Array.map
+      (fun b ->
+        let ops = Block.ops b in
+        let d =
+          List.fold_left
+            (fun d o ->
+              let d =
+                List.fold_left (fun d r -> after wrote r d) d (Op.uses o)
+              in
+              List.fold_left (fun d r -> after touched r d) d (Op.defs o))
+            0 ops
+        in
+        List.iter
+          (fun o ->
+            List.iter (fun r -> raise_to touched r d) (Op.uses o);
+            List.iter
+              (fun r ->
+                raise_to touched r d;
+                raise_to wrote r d)
+              (Op.defs o))
+          ops;
+        d)
+      blocks
+  in
   let max_depth = Array.fold_left max 0 depth in
   for d = 0 to max_depth do
     let wave = ref [] in
@@ -410,10 +428,15 @@ let partition_func_waves pool ~machine ~config ~objects_of ~lock_of
       if depth.(j) = d then wave := j :: !wave
     done;
     let wave = Array.of_list !wave in
+    let one k =
+      block_result ~machine ~config ~objects_of ~lock_of ~reg_home ~cfg
+        ~liveness f blocks.(wave.(k))
+    in
+    let n = Array.length wave in
     let results =
-      Par.map pool ~n:(Array.length wave) (fun k ->
-          block_result ~machine ~config ~objects_of ~lock_of ~reg_home ~cfg
-            ~liveness f blocks.(wave.(k)))
+      match pool with
+      | Some pool -> Par.map pool ~n one
+      | None -> Array.init n one
     in
     (* commit in layout order: wave indices are ascending by block *)
     Array.iteri
@@ -424,31 +447,12 @@ let partition_func_waves pool ~machine ~config ~objects_of ~lock_of
 (** Partition all computation of [prog], filling [assign]'s op clusters.
     [lock_of] gives mandatory clusters (memory operations under a data
     partition); object homes in [assign] are the caller's business.
-    With a [pool] of parallelism >= 2, blocks are partitioned in
-    dependency waves ([partition_func_waves]) — bit-identical output,
-    concurrent block evaluation. *)
+    Blocks are partitioned in dependency waves ([partition_func_waves]),
+    on [pool] when one is given. *)
 let partition ?(config = default_config) ?pool ~(machine : Vliw_machine.t)
     ~(objects_of : int -> Data.Obj_set.t) ~(lock_of : int -> int option)
     (prog : Prog.t) (assign : A.t) : unit =
   Telemetry.with_span "rhop" @@ fun () ->
-  match pool with
-  | Some pool when Par.parallelism pool >= 2 ->
-      List.iter
-        (partition_func_waves pool ~machine ~config ~objects_of ~lock_of
-           assign)
-        (Prog.funcs prog)
-  | _ ->
-      List.iter
-        (fun f ->
-          let cfg = Vliw_analysis.Cfg.of_func f in
-          let liveness = Vliw_analysis.Liveness.compute cfg in
-          let reg_home : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
-          List.iter
-            (fun b ->
-              let result =
-                block_result ~machine ~config ~objects_of ~lock_of ~reg_home
-                  ~cfg ~liveness f b
-              in
-              apply_result ~reg_home assign b result)
-            (Func.blocks f))
-        (Prog.funcs prog)
+  List.iter
+    (partition_func_waves ?pool ~machine ~config ~objects_of ~lock_of assign)
+    (Prog.funcs prog)

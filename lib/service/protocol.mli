@@ -155,7 +155,7 @@ val evaluate_job : ?par_workers:int -> job -> (Minijson.t, string) result
     the object homes in a canonical (sorted) order.  Pure given the
     job's content, so the same job always yields the same bytes —
     the property the artifact cache and the duplicate-submission tests
-    rely on.  [?par_workers] caps the domains a [par_domains >= 2] job
-    may actually spin up (see [Gdp_core.Pipeline.run]); it never changes
-    the artifact, so servers with different caps stay cache-compatible.
+    rely on.  [?par_workers] is the number of domains the partitioning
+    passes run on (see [Gdp_core.Pipeline.run]); it never changes the
+    artifact, so servers with different widths stay cache-compatible.
     [Error] carries the stage or verification failure. *)

@@ -101,12 +101,11 @@ type config = {
   events : string option;
       (** append one JSON line per request-lifecycle event here
           (truncated at startup); [None] disables the event log *)
-  par_workers : int option;
-      (** cap on the domains one job's intra-compile parallelism may
-          actually use ([None] = the job's own [par_domains] request).
-          An execution-width limit only — artifacts never depend on it
-          (see {!Protocol.evaluate_job}), so servers with different
-          caps stay cache-compatible. *)
+  par_workers : int;
+      (** domains each job's partitioning passes run on (default 1).
+          An execution width only — artifacts never depend on it (see
+          {!Protocol.evaluate_job}), so servers with different widths
+          stay cache-compatible. *)
   store_dir : string option;
       (** durable artifact store directory; [None] = memory-only cache *)
   brownout : float;

@@ -142,7 +142,6 @@ let settings_gen =
          let* seed = int_range 0 1000 in
          return { Partition.Gdp.data_imbalance; op_imbalance; seed })
     in
-    let* par_domains = int_range 1 8 in
     return
       {
         Settings.machine = Machine_spec.of_legacy ~clusters ~move_latency;
@@ -154,7 +153,6 @@ let settings_gen =
         merge_low_slack;
         rhop;
         gdp;
-        par_domains;
       })
 
 let test_settings_roundtrip =
@@ -233,8 +231,7 @@ let test_settings_version () =
     | _ -> Alcotest.fail "to_json did not produce an object"
   in
   (* legacy-shaped machines ship as version-2 documents (bare
-     clusters/move_latency ints, byte-compatible with old servers and
-     their cache keys)... *)
+     clusters/move_latency ints, readable by version-2 servers)... *)
   (match
      Minijson.member "version" (Settings.to_json (Settings.default Methods.Gdp))
    with

@@ -507,6 +507,52 @@ let test_protocol_cache_key () =
             };
         })
 
+(* The domain count is an execution width, not a setting: a version-2
+   client's [par_domains] is validated and dropped, so it can neither
+   change an artifact nor split the cache. *)
+let test_protocol_par_domains_ignored () =
+  let with_par_domains n =
+    match Protocol.job_to_json (sample_job ()) with
+    | Minijson.Obj fields ->
+        Minijson.Obj
+          (List.map
+             (fun (k, v) ->
+               match (k, v) with
+               | "settings", Minijson.Obj fs ->
+                   (k, Minijson.Obj (fs @ [ ("par_domains", Minijson.int n) ]))
+               | _ -> (k, v))
+             fields)
+    | d -> d
+  in
+  let settings_doc job_doc =
+    Option.value ~default:Minijson.Null (Minijson.member "settings" job_doc)
+  in
+  let default = Settings.default Partition.Methods.Gdp in
+  Alcotest.(check (option int))
+    "the default emits a version-2 document" (Some 2)
+    (Option.bind
+       (Minijson.member "version" (Settings.to_json default))
+       Minijson.to_int);
+  (match Settings.of_json (settings_doc (with_par_domains 4)) with
+  | Ok s ->
+      Alcotest.(check bool) "parses equal to the default" true (s = default)
+  | Error m -> Alcotest.failf "rejected a v2 par_domains: %s" m);
+  Alcotest.(check bool)
+    "to_json emits no par_domains" true
+    (Minijson.member "par_domains" (Settings.to_json default) = None);
+  (match
+     ( Protocol.job_of_json (with_par_domains 1),
+       Protocol.job_of_json (with_par_domains 4) )
+   with
+  | Ok j1, Ok j4 ->
+      Alcotest.(check string)
+        "one cache entry" (Protocol.cache_key j1) (Protocol.cache_key j4)
+  | Error m, _ | _, Error m -> Alcotest.failf "job rejected: %s" m);
+  match Settings.of_json (settings_doc (with_par_domains 0)) with
+  | Ok _ -> Alcotest.fail "accepted par_domains 0"
+  | Error m ->
+      Alcotest.(check bool) "names par_domains" true (contains m "par_domains")
+
 let test_protocol_evaluate_deterministic () =
   match (Protocol.evaluate_job (sample_job ()), Protocol.evaluate_job (sample_job ())) with
   | Ok a, Ok b ->
@@ -1325,6 +1371,8 @@ let suite =
     Alcotest.test_case "protocol: round-trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol: rejections" `Quick test_protocol_rejections;
     Alcotest.test_case "protocol: cache key" `Quick test_protocol_cache_key;
+    Alcotest.test_case "protocol: par_domains is not a setting" `Quick
+      test_protocol_par_domains_ignored;
     Alcotest.test_case "protocol: evaluate deterministic" `Quick
       test_protocol_evaluate_deterministic;
     Alcotest.test_case "server: end to end" `Slow test_server_end_to_end;
