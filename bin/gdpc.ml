@@ -6,7 +6,14 @@
      gdpc partition FILE      full pipeline: partition, schedule, report
      gdpc explain FILE        cycle attribution + placement report
      gdpc bench [NAME]        evaluate suite benchmarks (all methods)
+     gdpc experiment [NAME..] reproduce the paper's tables and figures
+     gdpc gate                regression gates against committed baselines
      gdpc fuzz                differential fuzzing over random programs
+     gdpc serve               run the gdpcd compile daemon
+     gdpc submit FILE         send one compile job to a daemon
+     gdpc loadgen             drive load at a daemon and gate its latency
+     gdpc top                 live metrics dashboard of a daemon
+     gdpc trace ID            span tree of one served request
      gdpc list                list suite benchmarks *)
 
 open Cmdliner
@@ -293,6 +300,9 @@ let handle_errors f =
   | Sys_error m | Invalid_argument m | Failure m ->
       Fmt.epr "error: %s@." m;
       exit 1
+  | Unix.Unix_error (e, op, arg) ->
+      Fmt.epr "error: %s (%s %s)@." (Unix.error_message e) op arg;
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                             *)
@@ -565,14 +575,16 @@ let explain_cmd =
 (* bench                                                               *)
 
 let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Number of worker processes to fan the work over (default 1 = \
-           in-process).  Results are identical whatever N; only the wall \
-           clock changes.")
+  Term.(
+    const Exec.clamp_jobs
+    $ Arg.(
+        value
+        & opt int 1
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:
+              "Number of worker processes to fan the work over (default 1 = \
+               in-process, at most 64).  Results are identical whatever N; \
+               only the wall clock changes."))
 
 let bench_cmd =
   let run obs name latency clusters machine_name jobs json =
@@ -584,8 +596,7 @@ let bench_cmd =
         in
         let spec = machine_spec_of_args ~machine:machine_name ~clusters ~latency in
         let rows =
-          Gdp_core.Experiments.run_all_machine ~jobs:(Exec.clamp_jobs jobs)
-            ~benches ~spec ()
+          Gdp_core.Experiments.run_all_machine ~jobs ~benches ~spec ()
         in
         let cell r name =
           match Gdp_core.Experiments.cycles_opt r name with
@@ -652,12 +663,118 @@ let bench_cmd =
       $ machine_arg $ jobs_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
+(* experiment / gate: the paper's evaluation (bin/harness.ml)          *)
+
+let experiment_cmd =
+  let names_arg =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) ("list" :: Harness.names))) []
+      & info [] ~docv:"NAME"
+          ~doc:
+            "Experiments to run, in order (default: every table and figure; \
+             $(b,list) prints the names).  $(b,bechamel) times the \
+             partitioning passes instead.")
+  in
+  let json_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Also write per-experiment wall times and the bechamel ns/run \
+             estimates as gdp-bench/1 JSON (BENCH_partitioner.json is a \
+             snapshot of it).")
+  in
+  let run obs names jobs par_domains json =
+    handle_errors (fun () ->
+        if List.mem "list" names then List.iter (Fmt.pr "%s@.") Harness.names
+        else Harness.run ~jobs ~par_domains ~json names;
+        finish_obs obs)
+  in
+  Cmd.v
+    (Cmd.info "experiment"
+       ~doc:
+         "Reproduce the paper's tables and figures (Chu & Mahlke, CGO \
+          2006), each under an experiment:NAME telemetry span ($(b,--stats) \
+          prints their wall times).  $(b,-j) prefetches the suite sweeps \
+          over worker processes; $(b,--par-domains) N adds -parN rows to \
+          $(b,bechamel).")
+    Term.(
+      const run $ obs_term $ names_arg $ jobs_arg $ par_domains_arg
+      $ json_arg)
+
+let gate_cmd =
+  let file_opt names docv doc =
+    Arg.(value & opt (some string) None & info names ~docv ~doc)
+  in
+  let check_arg =
+    file_opt [ "check" ] "FILE"
+      "Attribution gate: re-run the suite at the baseline's latency and fail \
+       on cycles, moves or attribution categories that grew beyond \
+       $(b,--tolerance) against this gdp-attrib/1 file \
+       (BENCH_attribution.json)."
+  in
+  let tolerance_arg =
+    Arg.(
+      value
+      & opt float 2.0
+      & info [ "tolerance" ] ~docv:"PCT"
+          ~doc:"Allowed relative growth for $(b,--check), in percent.")
+  in
+  let check_partitioner_arg =
+    file_opt [ "check-partitioner" ] "FILE"
+      "Partitioner gate: run bechamel and fail on ns/run rows more than \
+       400% above this gdp-bench/1 snapshot (BENCH_partitioner.json).  \
+       Pass the $(b,--par-domains) it was recorded with, or its -parN rows \
+       count as disappeared."
+  in
+  let report_arg =
+    file_opt [ "report" ] "DIR"
+      "Write per-benchmark attribution reports (Markdown, CSV, JSON) into \
+       $(docv)."
+  in
+  let baseline_arg =
+    file_opt [ "baseline" ] "FILE"
+      "Write the attribution baseline (gdp-attrib/1) for $(b,--check) to \
+       $(docv)."
+  in
+  let run obs jobs par_domains check tolerance check_partitioner report
+      baseline =
+    handle_errors (fun () ->
+        if tolerance < 0. then
+          raise (Cli_error "--tolerance must be a non-negative percentage");
+        if
+          check = None && check_partitioner = None && report = None
+          && baseline = None
+        then
+          raise
+            (Cli_error
+               "nothing to do: give --check, --check-partitioner, --report \
+                or --baseline");
+        let ok =
+          Harness.gate ~jobs ~par_domains ?report ?baseline ?check ~tolerance
+            ?check_partitioner ()
+        in
+        finish_obs obs;
+        if not ok then exit 1)
+  in
+  Cmd.v
+    (Cmd.info "gate"
+       ~doc:
+         "Regression gates against the committed baselines, and the \
+          attribution reports and baseline they are built from.  Exits \
+          non-zero when a gate fails.")
+    Term.(
+      const run $ obs_term $ jobs_arg $ par_domains_arg $ check_arg
+      $ tolerance_arg $ check_partitioner_arg $ report_arg $ baseline_arg)
+
+(* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
 
 let fuzz_cmd =
   let run obs count seed latencies machine corpus shrink_budget jobs =
     handle_errors (fun () ->
-        let jobs = Exec.clamp_jobs jobs in
         (* the campaign applies each of --latencies to the machine *)
         let machine =
           Option.map
@@ -786,13 +903,10 @@ let serve_cmd =
     Arg.(
       value
       & opt int 64
-      & info
-          [ "max-pending"; "max-queue" ]
-          ~docv:"N"
+      & info [ "max-pending" ] ~docv:"N"
           ~doc:
             "Reject new submissions once this many jobs are pending \
-             (backpressure; rejections carry a retry_after_ms hint).  \
-             --max-queue is the deprecated spelling.")
+             (backpressure; rejections carry a retry_after_ms hint).")
   in
   let brownout_arg =
     Arg.(
@@ -812,15 +926,6 @@ let serve_cmd =
           ~doc:
             "Durable artifact store directory: artifacts survive restarts \
              (even kill -9) and are scrubbed for corruption at startup.")
-  in
-  let par_workers_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "par-domains" ] ~docv:"N"
-          ~doc:
-            "Domains that run each job's partitioning passes (default 1).  \
-             An execution width only: artifacts never depend on it.")
   in
   let events_arg =
     Arg.(
@@ -868,7 +973,7 @@ let serve_cmd =
           it cleanly.")
     Term.(
       const run $ obs_term $ socket_arg $ tcp_arg $ jobs_arg $ cache_arg
-      $ max_pending_arg $ brownout_arg $ store_arg $ par_workers_arg
+      $ max_pending_arg $ brownout_arg $ store_arg $ par_domains_arg
       $ events_arg)
 
 let pp_artifact ppf art =
@@ -1512,6 +1617,8 @@ let () =
             partition_cmd;
             explain_cmd;
             bench_cmd;
+            experiment_cmd;
+            gate_cmd;
             fuzz_cmd;
             serve_cmd;
             submit_cmd;

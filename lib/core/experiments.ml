@@ -1,6 +1,6 @@
 (** Drivers reproducing every table and figure of the paper's evaluation
     (Section 4).  Each driver returns plain data and can render itself;
-    `bench/main.exe` and EXPERIMENTS.md are generated from these. *)
+    `gdpc experiment` and EXPERIMENTS.md are generated from these. *)
 
 module Methods = Partition.Methods
 

@@ -1,5 +1,5 @@
 (** Plain-text rendering of experiment results: aligned tables and
-    horizontal bar charts, so `bench/main.exe` output reads like the
+    horizontal bar charts, so `gdpc experiment` output reads like the
     paper's figures. *)
 
 let bar ?(width = 40) ~max_value v =

@@ -53,13 +53,6 @@ val size : pool -> int
     shared over the pool's domains.  See the error contract above. *)
 val parallel_for : pool -> n:int -> (int -> unit) -> unit
 
-(** [parallel_chunks pool ~n body] splits [0..n-1] into contiguous
-    ranges and calls [body lo hi] (half-open) per range — the CSR
-    vertex-range form of [parallel_for].  Chunk boundaries depend on
-    [size], so bodies must produce results that are chunking-invariant
-    (pure per-index writes). *)
-val parallel_chunks : pool -> n:int -> (int -> int -> unit) -> unit
-
 (** [map pool ~n f] is [Array.init n f] with the bodies run in
     parallel; results are positioned by index. *)
 val map : pool -> n:int -> (int -> 'a) -> 'a array

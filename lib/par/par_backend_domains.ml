@@ -158,22 +158,6 @@ let parallel_for pool ~n body =
     | None -> ()
   end
 
-let parallel_chunks pool ~n body =
-  if n > 0 then begin
-    let w = size pool in
-    if w <= 1 then body 0 n
-    else begin
-      (* a few chunks per domain smooths uneven ranges; results must be
-         chunking-invariant so the split never changes answers *)
-      let chunks = min n (w * 4) in
-      let per = (n + chunks - 1) / chunks in
-      parallel_for pool ~n:chunks (fun c ->
-          let lo = c * per in
-          let hi = min n (lo + per) in
-          if lo < hi then body lo hi)
-    end
-  end
-
 let map pool ~n f =
   if n <= 0 then [||]
   else begin

@@ -15,8 +15,6 @@ let parallel_for _pool ~n body =
     body i
   done
 
-let parallel_chunks _pool ~n body = if n > 0 then body 0 n
-
 let map pool ~n f =
   if n <= 0 then [||]
   else begin

@@ -169,7 +169,7 @@ let run (cfg : config) =
     failwith
       (Printf.sprintf
          "loadgen: no daemon socket at %s (is gdpcd running? start one with \
-          `gdpcd --socket %s`)"
+          `gdpc serve --socket %s`)"
          cfg.endpoint cfg.endpoint);
   let nconn = min cfg.connections cfg.requests in
   let fresh_conn () = Client.connect ~attempts:20 cfg.endpoint in

@@ -29,16 +29,7 @@ let test_map_for_chunks () =
       Par.parallel_for pool ~n:1000 (fun i -> hits.(i) <- hits.(i) + 1);
       Alcotest.(check bool) "parallel_for covers each index once" true
         (Array.for_all (fun h -> h = 1) hits);
-      (* a size that does not divide evenly into chunks *)
-      let hits = Array.make 1001 0 in
-      Par.parallel_chunks pool ~n:1001 (fun lo hi ->
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done);
-      Alcotest.(check bool) "parallel_chunks covers each index once" true
-        (Array.for_all (fun h -> h = 1) hits);
       Par.parallel_for pool ~n:0 (fun _ -> assert false);
-      Par.parallel_chunks pool ~n:0 (fun _ _ -> assert false);
       Alcotest.(check bool) "empty map" true
         (Par.map pool ~n:0 (fun _ -> assert false) = [||]))
 
