@@ -6,14 +6,18 @@ open Vliw_ir
 
 type t
 
-val create : unit -> t
+(** {2 Construction (used by the interpreter)} *)
 
-(** {2 Recording (used by the interpreter)} *)
-
-val record_block : t -> func:string -> label:Label.t -> unit
-val record_op : t -> op_id:int -> unit
-val record_access : t -> op_id:int -> Data.obj -> unit
-val record_alloc : t -> site:int -> int -> unit
+(** A profile from the counts of one run: executed blocks with their
+    counts, executions per op id, each memory op's accesses per object
+    with the objects in first-access order (indexed by op id), and
+    total bytes per malloc site. *)
+val make :
+  block_counts:((string * Label.t) * int) list ->
+  op_counts:int array ->
+  accesses:(Data.obj * int) list array ->
+  heap_sizes:(int * int) list ->
+  t
 
 (** {2 Queries} *)
 

@@ -14,10 +14,20 @@
 
     Cross-block and cross-call in-flight latencies are cut: pending
     writes commit when the block ends (the static model makes the same
-    approximation; see DESIGN.md). *)
+    approximation; see DESIGN.md).
+
+    Each function's CFG and liveness are computed on its first call;
+    each block is scheduled, checked ([check_resources]) and decoded on
+    its first execution into an array of entries carrying the decoded
+    op ({!Vliw_interp.Interp.Code}), its write latency, its route and,
+    when accounting, its attribution.  Pending register writes live in
+    arrays kept in commit order, so a cycle with nothing due costs one
+    comparison. *)
 
 open Vliw_ir
 module I = Vliw_interp.Interp
+module M = I.Memory
+module C = I.Code
 
 exception Sim_error of string
 
@@ -29,90 +39,6 @@ type result = {
   dynamic_moves : int;
   account : Attrib.totals option;  (** when run with [~account:true] *)
 }
-
-type pending = { reg : Reg.t; value : I.value; ready : int; issued : int }
-
-(** Dynamic attribution accumulators.  Block accounts are memoized per
-    block alongside the schedules, so accounting adds O(1) work per
-    executed block plus O(1) per executed memory op and move. *)
-type acct = {
-  ac_categories : int array;
-  ac_links : (int * int, int) Hashtbl.t;
-  ac_obj_moves : (Data.obj, int) Hashtbl.t;
-  mutable ac_unattributed : int;
-  ac_access : (Data.obj, int ref * int ref) Hashtbl.t;
-  ac_accounts : (string * Label.t, Attrib.block_account) Hashtbl.t;
-}
-
-type state = {
-  prog : Prog.t;
-  machine : Vliw_machine.t;
-  memory : (int, I.value) Hashtbl.t;
-  global_addrs : (string, int) Hashtbl.t;
-  mutable ranges : (int * int * Data.obj) list;
-  mutable heap_next : int;
-  input : int array;
-  mutable outputs_rev : I.value list;
-  mutable cycles : int;
-  mutable moves : int;
-  schedules : (string * Label.t, List_sched.t) Hashtbl.t;
-  acct : acct option;
-  mutable fuel : int;
-}
-
-let word = Data.word_bytes
-
-let init prog machine ~input ~fuel ~account =
-  let st =
-    {
-      prog;
-      machine;
-      memory = Hashtbl.create 1024;
-      global_addrs = Hashtbl.create 16;
-      ranges = [];
-      heap_next = 0x1000000;
-      input;
-      outputs_rev = [];
-      cycles = 0;
-      moves = 0;
-      schedules = Hashtbl.create 64;
-      acct =
-        (if account then
-           Some
-             {
-               ac_categories = Array.make Attrib.num_categories 0;
-               ac_links = Hashtbl.create 4;
-               ac_obj_moves = Hashtbl.create 16;
-               ac_unattributed = 0;
-               ac_access = Hashtbl.create 16;
-               ac_accounts = Hashtbl.create 64;
-             }
-         else None);
-      fuel;
-    }
-  in
-  (* identical layout to the reference interpreter so addresses match *)
-  let next = ref 0x1000 in
-  List.iter
-    (fun (g : Data.global) ->
-      let base = !next in
-      Hashtbl.replace st.global_addrs g.Data.g_name base;
-      let bytes = Data.global_bytes g in
-      st.ranges <- (base, base + bytes, Data.Global g.Data.g_name) :: st.ranges;
-      (match g.Data.g_init with
-      | Data.Zero -> ()
-      | Data.Words ws ->
-          Array.iteri
-            (fun i w ->
-              let v =
-                if g.Data.g_is_float then I.VFloat (Int64.float_of_bits w)
-                else I.VInt (Int64.to_int w)
-              in
-              Hashtbl.replace st.memory (base + (i * word)) v)
-            ws);
-      next := base + bytes + 64)
-    (Prog.globals prog);
-  st
 
 (** Check a block schedule statically: per-cycle resource legality.
     Moves are charged one issue slot on every link of their route, so
@@ -176,247 +102,478 @@ let check_resources (machine : Vliw_machine.t)
       done)
     by_cycle
 
-let schedule_for st ~assign ~move_routes ~objects_of (f : Func.t) (b : Block.t) =
-  let key = (Func.name f, Block.label b) in
-  match Hashtbl.find_opt st.schedules key with
-  | Some s -> s
+(* ------------------------------------------------------------------ *)
+(* Decoded form                                                        *)
+
+(** One schedule entry, decoded on the block's first execution. *)
+type entry = {
+  cycle : int;
+  ins : C.instr;
+  lat : int;  (** cycles until the op's register write commits *)
+  link : int;
+      (** [src * clusters + dst] of an intercluster move's route, [-1]
+          for every other op *)
+  remote : bool;
+      (** accounting: a memory op whose value or address crosses
+          clusters *)
+  carries : int list;
+      (** accounting: objects whose data a routed move carries, [[]] for
+          pure compute flow *)
+}
+
+type block = {
+  label : Label.t;
+  length : int;
+  entries : entry array;  (** in issue order *)
+  categories : int array;  (** accounting: cycles per category *)
+}
+
+type func = {
+  func : Func.t;
+  nregs : int;
+  params : int array;
+  block_id : Label.t -> int;
+  liveness : Vliw_analysis.Liveness.t;  (** computed once per function *)
+  blocks : block option array;  (** decoded on first execution *)
+}
+
+(** Dynamic attribution accumulators, indexed by link and by interned
+    object.  Block accounts are decoded with the schedules, so
+    accounting adds O(1) work per executed block, memory op and move. *)
+type acct = {
+  ac_categories : int array;
+  ac_links : int array;
+  mutable ac_obj_moves : int array;
+  mutable ac_unattributed : int;
+  mutable ac_local : int array;
+  mutable ac_remote : int array;
+}
+
+type state = {
+  machine : Vliw_machine.t;
+  assign : Assignment.t;
+  move_routes : (int, int * int) Hashtbl.t;
+  objects_of : int -> Data.Obj_set.t;
+  mem : M.t;
+  fs : C.funcs;
+  funcs : func option array;
+  input : int array;
+  mutable outputs_rev : I.value list;
+  mutable cycles : int;
+  mutable moves : int;
+  acct : acct option;
+  mutable fuel : int;
+  (* Pending register writes, one segment per active block (a callee's
+     blocks stack theirs above their caller's), kept in commit order:
+     by ready cycle, then issue cycle, then newest first, so of two
+     writes to one register that are due together and were issued in
+     the same cycle the older lands last and wins.  [p_seq] numbers
+     writes in issue order. *)
+  mutable p_reg : int array;
+  mutable p_val : I.value array;
+  mutable p_ready : int array;
+  mutable p_issued : int array;
+  mutable p_seq : int array;
+  mutable p_top : int;
+  mutable seq : int;
+}
+
+(** One block execution: its function activation's registers and
+    pending-write counts per register, and its segment of pending
+    writes, [[head, p_top)]. *)
+type frame = {
+  fn : func;
+  block : block;
+  regs : I.value array;
+  pend : int array;
+  mutable head : int;
+}
+
+let bump a i =
+  let a = I.grow a i 0 in
+  a.(i) <- a.(i) + 1;
+  a
+
+let func_of st fid =
+  match st.funcs.(fid) with
+  | Some d -> d
   | None ->
-      let cfg = Vliw_analysis.Cfg.of_func f in
-      let liveness = Vliw_analysis.Liveness.compute cfg in
-      let live_out =
-        Vliw_analysis.Liveness.live_out liveness
-          (Vliw_analysis.Cfg.block_index cfg (Block.label b))
+      let f = C.func st.fs fid in
+      let d =
+        {
+          func = f;
+          nregs = Func.reg_count f;
+          params = Array.of_list (List.map Reg.to_int (Func.params f));
+          block_id = C.block_ids f;
+          liveness =
+            Vliw_analysis.Liveness.compute (Vliw_analysis.Cfg.of_func f);
+          blocks = Array.make (List.length (Func.blocks f)) None;
+        }
       in
-      let s =
-        List_sched.schedule_block ~machine:st.machine ~assign ~move_routes
-          ~objects_of ~live_out b
-      in
-      check_resources st.machine ~move_routes s;
-      Hashtbl.replace st.schedules key s;
-      s
+      st.funcs.(fid) <- Some d;
+      d
 
-let object_of_addr st addr =
-  let rec go = function
-    | [] -> None
-    | (lo, hi, obj) :: rest -> if addr >= lo && addr < hi then Some obj else go rest
+(* Schedule, check and decode a block; its index is also its CFG index. *)
+let block_of st d bi =
+  match d.blocks.(bi) with
+  | Some b -> b
+  | None ->
+      let blk = List.nth (Func.blocks d.func) bi in
+      let live_out = Vliw_analysis.Liveness.live_out d.liveness bi in
+      let move_routes = st.move_routes and machine = st.machine in
+      let sched =
+        List_sched.schedule_block ~machine ~assign:st.assign ~move_routes
+          ~objects_of:st.objects_of ~live_out blk
+      in
+      check_resources machine ~move_routes sched;
+      let account =
+        Option.map
+          (fun _ ->
+            Attrib.account_block ~machine ~move_routes
+              ~objects_of:st.objects_of blk sched)
+          st.acct
+      in
+      let nclusters = Vliw_machine.num_clusters machine in
+      let decode (e : List_sched.entry) =
+        let op = e.List_sched.op in
+        let id = Op.id op in
+        let route = Hashtbl.find_opt move_routes id in
+        {
+          cycle = e.List_sched.cycle;
+          ins = C.decode st.fs st.mem ~block_id:d.block_id op;
+          lat = List_sched.latency_of ~machine ~move_routes op;
+          link =
+            (match route with Some (s, t) -> (s * nclusters) + t | None -> -1);
+          remote =
+            (match account with
+            | Some bk -> Hashtbl.mem bk.Attrib.bk_remote_mem id
+            | None -> false);
+          carries =
+            (match account with
+            | Some bk -> (
+                match Hashtbl.find_opt bk.Attrib.bk_move_objs id with
+                | Some objs -> List.map (M.intern st.mem) objs
+                | None -> [])
+            | None -> []);
+        }
+      in
+      let b =
+        {
+          label = Block.label blk;
+          length = List_sched.length sched;
+          entries = Array.map decode (List_sched.entries sched);
+          categories =
+            (match account with
+            | Some bk -> bk.Attrib.bk_categories
+            | None -> [||]);
+        }
+      in
+      d.blocks.(bi) <- Some b;
+      b
+
+(* ------------------------------------------------------------------ *)
+(* Pending writes                                                      *)
+
+let push st fr reg v ~ready ~issued =
+  let top = st.p_top in
+  if top >= Array.length st.p_reg then begin
+    st.p_reg <- I.grow st.p_reg top 0;
+    st.p_val <- I.grow st.p_val top (I.VInt 0);
+    st.p_ready <- I.grow st.p_ready top 0;
+    st.p_issued <- I.grow st.p_issued top 0;
+    st.p_seq <- I.grow st.p_seq top 0
+  end;
+  (* every pending write was issued at or before [issued], so the new
+     one goes after those due earlier and before same-cycle ones *)
+  let i = ref top in
+  while
+    !i > fr.head
+    && (st.p_ready.(!i - 1) > ready
+       || (st.p_ready.(!i - 1) = ready && st.p_issued.(!i - 1) = issued))
+  do
+    let j = !i - 1 in
+    st.p_reg.(!i) <- st.p_reg.(j);
+    st.p_val.(!i) <- st.p_val.(j);
+    st.p_ready.(!i) <- st.p_ready.(j);
+    st.p_issued.(!i) <- st.p_issued.(j);
+    st.p_seq.(!i) <- st.p_seq.(j);
+    i := j
+  done;
+  let i = !i in
+  st.p_reg.(i) <- reg;
+  st.p_val.(i) <- v;
+  st.p_ready.(i) <- ready;
+  st.p_issued.(i) <- issued;
+  st.p_seq.(i) <- st.seq;
+  st.seq <- st.seq + 1;
+  st.p_top <- top + 1;
+  fr.pend.(reg) <- fr.pend.(reg) + 1
+
+(* Commit the writes of the frame's segment that are due at [t]. *)
+let commit st fr t =
+  while fr.head < st.p_top && st.p_ready.(fr.head) <= t do
+    let i = fr.head in
+    let r = st.p_reg.(i) in
+    fr.regs.(r) <- st.p_val.(i);
+    fr.pend.(r) <- fr.pend.(r) - 1;
+    fr.head <- i + 1
+  done
+
+(* A read of [r] at [t] while a write issued before [t] is in flight:
+   report the newest such write. *)
+let latency_violation st fr t r =
+  let found = ref (-1) in
+  for i = fr.head to st.p_top - 1 do
+    if
+      st.p_reg.(i) = r && st.p_issued.(i) < t && st.p_ready.(i) > t
+      && (!found < 0 || st.p_seq.(i) > st.p_seq.(!found))
+    then found := i
+  done;
+  if !found >= 0 then
+    sim_error
+      "latency violation: %s/%a reads %a at cycle %d but a write issued at %d \
+       completes at %d"
+      (Func.name fr.fn.func) Label.pp fr.block.label Reg.pp r t
+      st.p_issued.(!found) st.p_ready.(!found)
+
+let read st fr t r =
+  if fr.pend.(r) > 0 then latency_violation st fr t r;
+  fr.regs.(r)
+[@@inline]
+
+let operand st fr t = function C.R r -> read st fr t r | C.K v -> v
+[@@inline]
+
+let write st fr (e : entry) t reg v =
+  (* fault injection: timing fault — an intercluster transfer takes
+     longer than the machine model promises, so a consumer issued
+     against the nominal latency reads a stale value *)
+  let lat =
+    if e.link >= 0 && Fault.fire "sim.move-latency" then
+      e.lat + 1 + Fault.rand "sim.move-latency" 3
+    else e.lat
   in
-  go st.ranges
-
-exception Branch_to of Label.t
-exception Return_value of I.value option
-
-let rec exec_func st ~assign ~move_routes ~objects_of (f : Func.t)
-    (args : I.value list) : I.value option =
-  let regs = Array.make (Func.reg_count f) (I.VInt 0) in
-  (try List.iter2 (fun p a -> regs.(Reg.to_int p) <- a) (Func.params f) args
-   with Invalid_argument _ -> sim_error "arity mismatch calling %s" (Func.name f));
-  let rec run_block (b : Block.t) : I.value option =
-    st.fuel <- st.fuel - 1;
-    if st.fuel <= 0 then sim_error "out of fuel";
-    let sched = schedule_for st ~assign ~move_routes ~objects_of f b in
-    st.cycles <- st.cycles + List_sched.length sched;
-    let bacct =
-      match st.acct with
-      | None -> None
-      | Some a ->
-          let key = (Func.name f, Block.label b) in
-          let bk =
-            match Hashtbl.find_opt a.ac_accounts key with
-            | Some bk -> bk
-            | None ->
-                let bk =
-                  Attrib.account_block ~machine:st.machine ~move_routes
-                    ~objects_of b sched
-                in
-                Hashtbl.replace a.ac_accounts key bk;
-                bk
-          in
-          Array.iteri
-            (fun i n -> a.ac_categories.(i) <- a.ac_categories.(i) + n)
-            bk.Attrib.bk_categories;
-          Some (a, bk)
-    in
-    let acct_access op obj =
-      match bacct with
-      | None -> ()
-      | Some (a, bk) ->
-          let local_c, remote_c =
-            match Hashtbl.find_opt a.ac_access obj with
-            | Some cell -> cell
-            | None ->
-                let cell = (ref 0, ref 0) in
-                Hashtbl.replace a.ac_access obj cell;
-                cell
-          in
-          if Hashtbl.mem bk.Attrib.bk_remote_mem (Op.id op) then
-            incr remote_c
-          else incr local_c
-    in
-    let acct_move op =
-      match bacct with
-      | None -> ()
-      | Some (a, bk) -> (
-          match Hashtbl.find_opt move_routes (Op.id op) with
-          | None -> ()
-          | Some route ->
-              Hashtbl.replace a.ac_links route
-                (1
-                + Option.value ~default:0 (Hashtbl.find_opt a.ac_links route));
-              (match Hashtbl.find_opt bk.Attrib.bk_move_objs (Op.id op) with
-              | None | Some [] -> a.ac_unattributed <- a.ac_unattributed + 1
-              | Some objs ->
-                  List.iter
-                    (fun o ->
-                      Hashtbl.replace a.ac_obj_moves o
-                        (1
-                        + Option.value ~default:0
-                            (Hashtbl.find_opt a.ac_obj_moves o)))
-                    objs))
-    in
-    let pending : pending list ref = ref [] in
-    let commit_due t =
-      let due, rest = List.partition (fun p -> p.ready <= t) !pending in
-      (* commit in issue order so output dependences resolve correctly *)
-      List.iter
-        (fun p -> regs.(Reg.to_int p.reg) <- p.value)
-        (List.sort (fun a b -> compare (a.ready, a.issued) (b.ready, b.issued)) due);
-      pending := rest
-    in
-    let read t r =
-      List.iter
-        (fun p ->
-          if Reg.equal p.reg r && p.issued < t && p.ready > t then
-            sim_error
-              "latency violation: %s/%a reads %a at cycle %d but a write \
-               issued at %d completes at %d"
-              (Func.name f) Label.pp (Block.label b) Reg.pp r t p.issued
-              p.ready)
-        !pending;
-      regs.(Reg.to_int r)
-    in
-    let value t = function
-      | Op.Reg r -> read t r
-      | Op.Imm i -> I.VInt i
-      | Op.Fimm fl -> I.VFloat fl
-    in
-    let write t op reg v =
-      let route = Hashtbl.find_opt move_routes (Op.id op) in
-      let is_icm = route <> None in
-      let lat =
-        match route with
-        | Some (src, dst) -> Vliw_machine.route_latency st.machine ~src ~dst
-        | None -> Op.latency st.machine.Vliw_machine.latencies op
-      in
-      (* fault injection: timing fault — an intercluster transfer takes
-         longer than the machine model promises, so a consumer issued
-         against the nominal latency reads a stale value *)
-      let lat =
-        if is_icm && Fault.fire "sim.move-latency" then
-          lat + 1 + Fault.rand "sim.move-latency" 3
-        else lat
-      in
-      (* fault injection: data fault — the bus corrupts the transferred
-         value *)
-      let v =
-        if is_icm && Fault.fire "sim.move-value" then
-          match v with
-          | I.VInt i -> I.VInt (i + 1 + Fault.rand "sim.move-value" 7)
-          | I.VFloat f -> I.VFloat (f +. 1.0)
-        else v
-      in
-      pending := { reg; value = v; ready = t + lat; issued = t } :: !pending
-    in
-    let outcome = ref None in
-    (try
-       Array.iter
-         (fun (e : List_sched.entry) ->
-           let t = e.List_sched.cycle in
-           commit_due t;
-           let op = e.List_sched.op in
-           let v = value t in
-           let guard_passes =
-             match Op.guard op with
-             | None -> true
-             | Some { Op.greg; gsense } ->
-                 Bool.equal (I.to_int (read t greg) <> 0) gsense
-           in
-           if not guard_passes then () (* nullified in its slot *)
-           else
-           match Op.kind op with
-           | Op.Ibin (o, d, a, b') -> write t op d (I.eval_ibin o (v a) (v b'))
-           | Op.Fbin (o, d, a, b') -> write t op d (I.eval_fbin o (v a) (v b'))
-           | Op.Un (o, d, a) -> write t op d (I.eval_un o (v a))
-           | Op.Move { dst; src } ->
-               st.moves <- st.moves + 1;
-               acct_move op;
-               write t op dst (read t src)
-           | Op.Load { dst; base; offset } ->
-               let addr = I.to_int (v base) + I.to_int (v offset) in
-               (match object_of_addr st addr with
-               | Some obj -> acct_access op obj
-               | None -> sim_error "wild load at 0x%x" addr);
-               write t op dst
-                 (Option.value ~default:(I.VInt 0)
-                    (Hashtbl.find_opt st.memory addr))
-           | Op.Store { src; base; offset } ->
-               let addr = I.to_int (v base) + I.to_int (v offset) in
-               (match object_of_addr st addr with
-               | Some obj -> acct_access op obj
-               | None -> sim_error "wild store at 0x%x" addr);
-               (* stores commit at t + 1; loads are ordered >= t+1 by deps,
-                  so committing into memory immediately is equivalent *)
-               Hashtbl.replace st.memory addr (v src)
-           | Op.Addr { dst; obj } ->
-               write t op dst (I.VInt (Hashtbl.find st.global_addrs obj))
-           | Op.Alloc { dst; size; site } ->
-               let bytes = I.to_int (v size) in
-               let rounded = (bytes + word - 1) / word * word in
-               let base = st.heap_next in
-               st.heap_next <- base + rounded + 64;
-               st.ranges <- (base, base + rounded, Data.Heap site) :: st.ranges;
-               write t op dst (I.VInt base)
-           | Op.In { dst; index } ->
-               let i = I.to_int (v index) in
-               if i < 0 || i >= Array.length st.input then
-                 sim_error "input index %d out of bounds" i;
-               write t op dst (I.VInt st.input.(i))
-           | Op.Out a -> st.outputs_rev <- v a :: st.outputs_rev
-           | Op.Call { dst; callee; args } -> (
-               let g = Prog.find_func st.prog callee in
-               let vals = List.map v args in
-               match
-                 (exec_func st ~assign ~move_routes ~objects_of g vals, dst)
-               with
-               | Some r, Some d -> write t op d r
-               | _, None -> ()
-               | None, Some _ ->
-                   sim_error "call to %s returned no value" callee)
-           | Op.Jmp l -> outcome := Some (Branch_to l)
-           | Op.Cbr { cond; if_true; if_false } ->
-               let c = I.to_int (v cond) in
-               outcome := Some (Branch_to (if c <> 0 then if_true else if_false))
-           | Op.Ret r -> outcome := Some (Return_value (Option.map v r)))
-         (List_sched.entries sched)
-     with I.Runtime_error m -> sim_error "runtime error: %s" m);
-    (* cut in-flight latencies at the block boundary *)
-    commit_due max_int;
-    match !outcome with
-    | Some (Branch_to l) -> run_block (Func.find_block f l)
-    | Some (Return_value v) -> v
-    | Some _ | None -> sim_error "block fell through without a terminator"
+  (* fault injection: data fault — the bus corrupts the transferred
+     value *)
+  let v =
+    if e.link >= 0 && Fault.fire "sim.move-value" then
+      match v with
+      | I.VInt i -> I.VInt (i + 1 + Fault.rand "sim.move-value" 7)
+      | I.VFloat f -> I.VFloat (f +. 1.0)
+    else v
   in
-  run_block (Func.entry f)
+  push st fr reg v ~ready:(t + lat) ~issued:t
+
+let acct_access st (e : entry) r =
+  match st.acct with
+  | None -> ()
+  | Some a ->
+      let o = M.owner st.mem r in
+      if e.remote then a.ac_remote <- bump a.ac_remote o
+      else a.ac_local <- bump a.ac_local o
+
+let acct_move st (e : entry) =
+  match st.acct with
+  | Some a when e.link >= 0 -> (
+      a.ac_links.(e.link) <- a.ac_links.(e.link) + 1;
+      match e.carries with
+      | [] -> a.ac_unattributed <- a.ac_unattributed + 1
+      | objs ->
+          List.iter (fun o -> a.ac_obj_moves <- bump a.ac_obj_moves o) objs)
+  | _ -> ()
+
+type outcome = Fell_through | Next of int | Return of I.value option
+
+(* ------------------------------------------------------------------ *)
+(* Execution                                                           *)
+
+let rec exec_func st fid (args : I.value list) : I.value option =
+  let d = func_of st fid in
+  let regs = Array.make d.nregs (I.VInt 0) in
+  let pend = Array.make d.nregs 0 in
+  if List.compare_length_with args (Array.length d.params) <> 0 then
+    sim_error "arity mismatch calling %s" (Func.name d.func);
+  List.iteri (fun i a -> regs.(d.params.(i)) <- a) args;
+  run_block st d regs pend 0
+
+and run_block st d regs pend bi =
+  st.fuel <- st.fuel - 1;
+  if st.fuel <= 0 then sim_error "out of fuel";
+  let b = block_of st d bi in
+  st.cycles <- st.cycles + b.length;
+  (match st.acct with
+  | None -> ()
+  | Some a ->
+      Array.iteri
+        (fun i n -> a.ac_categories.(i) <- a.ac_categories.(i) + n)
+        b.categories);
+  let base = st.p_top in
+  let fr = { fn = d; block = b; regs; pend; head = base } in
+  let outcome = ref Fell_through in
+  (try
+     for k = 0 to Array.length b.entries - 1 do
+       let e = b.entries.(k) in
+       let t = e.cycle in
+       (* test before calling: most entries have nothing due *)
+       if fr.head < st.p_top && st.p_ready.(fr.head) <= t then commit st fr t;
+       let ins = e.ins in
+       if
+         ins.C.guard >= 0
+         && not
+              (Bool.equal
+                 (I.to_int (read st fr t ins.C.guard) <> 0)
+                 ins.C.gsense)
+       then () (* nullified in its slot *)
+       else exec_entry st fr e t outcome
+     done
+   with I.Runtime_error m -> sim_error "runtime error: %s" m);
+  (* cut in-flight latencies at the block boundary *)
+  commit st fr max_int;
+  st.p_top <- base;
+  match !outcome with
+  | Next l -> run_block st d regs pend l
+  | Return v -> v
+  | Fell_through -> sim_error "block fell through without a terminator"
+
+and exec_entry st fr e t outcome =
+  match e.ins.C.kind with
+  | C.Ibin (o, dst, a, b) ->
+      write st fr e t dst
+        (I.eval_ibin o (operand st fr t a) (operand st fr t b))
+  | C.Fbin (o, dst, a, b) ->
+      write st fr e t dst
+        (I.eval_fbin o (operand st fr t a) (operand st fr t b))
+  | C.Un (o, dst, a) -> write st fr e t dst (I.eval_un o (operand st fr t a))
+  | C.Move (dst, src) ->
+      st.moves <- st.moves + 1;
+      acct_move st e;
+      write st fr e t dst (read st fr t src)
+  | C.Load (dst, base, offset) ->
+      let addr =
+        I.to_int (operand st fr t base) + I.to_int (operand st fr t offset)
+      in
+      let r = M.find st.mem addr in
+      if r < 0 then sim_error "wild load at 0x%x" addr;
+      acct_access st e r;
+      write st fr e t dst (M.get st.mem addr)
+  | C.Store (src, base, offset) ->
+      let addr =
+        I.to_int (operand st fr t base) + I.to_int (operand st fr t offset)
+      in
+      let r = M.find st.mem addr in
+      if r < 0 then sim_error "wild store at 0x%x" addr;
+      acct_access st e r;
+      (* stores commit at t + 1; loads are ordered >= t+1 by deps,
+         so committing into memory immediately is equivalent *)
+      M.set st.mem addr (operand st fr t src)
+  | C.Addr (dst, a) -> write st fr e t dst a
+  | C.Alloc (dst, size, site) ->
+      let base = M.alloc st.mem ~site (I.to_int (operand st fr t size)) in
+      write st fr e t dst (I.VInt base)
+  | C.In (dst, index) ->
+      let i = I.to_int (operand st fr t index) in
+      if i < 0 || i >= Array.length st.input then
+        sim_error "input index %d out of bounds" i;
+      write st fr e t dst (I.VInt st.input.(i))
+  | C.Out a -> st.outputs_rev <- operand st fr t a :: st.outputs_rev
+  | C.Call (dst, callee, args) -> (
+      let vals = List.map (operand st fr t) args in
+      match exec_func st callee vals with
+      | Some r -> if dst >= 0 then write st fr e t dst r
+      | None ->
+          if dst >= 0 then
+            sim_error "call to %s returned no value"
+              (Func.name (C.func st.fs callee)))
+  | C.Jmp l -> outcome := Next l
+  | C.Cbr (cond, if_true, if_false) ->
+      let c = I.to_int (operand st fr t cond) in
+      outcome := Next (if c <> 0 then if_true else if_false)
+  | C.Ret r -> outcome := Return (Option.map (operand st fr t) r)
+
+let totals st (a : acct) : Attrib.totals =
+  let nclusters = Vliw_machine.num_clusters st.machine in
+  let indexed arr =
+    List.filter_map
+      (fun i -> if arr.(i) > 0 then Some (M.obj st.mem i, arr.(i)) else None)
+      (List.init (Array.length arr) Fun.id)
+  in
+  let link_moves =
+    List.filter_map
+      (fun l ->
+        let n = a.ac_links.(l) in
+        if n > 0 then Some ((l / nclusters, l mod nclusters), n) else None)
+      (List.init (Array.length a.ac_links) Fun.id)
+  in
+  let nobjs = M.num_objs st.mem in
+  let local = I.grow a.ac_local nobjs 0
+  and remote = I.grow a.ac_remote nobjs 0 in
+  {
+    Attrib.t_cycles = st.cycles;
+    t_categories = Array.copy a.ac_categories;
+    t_moves = List.fold_left (fun acc (_, n) -> acc + n) 0 link_moves;
+    t_link_moves = link_moves;
+    t_obj_moves =
+      indexed a.ac_obj_moves
+      |> List.sort (fun (oa, na) (ob, nb) ->
+             match compare nb na with 0 -> Data.compare_obj oa ob | c -> c);
+    t_unattributed_moves = a.ac_unattributed;
+    t_obj_access =
+      List.filter_map
+        (fun i ->
+          if local.(i) + remote.(i) > 0 then
+            Some
+              ( M.obj st.mem i,
+                { Attrib.acc_local = local.(i); acc_remote = remote.(i) } )
+          else None)
+        (List.init nobjs Fun.id)
+      |> List.sort (fun (x, _) (y, _) -> Data.compare_obj x y);
+  }
 
 (** Simulate a clustered program on [input]. *)
 let run ?(fuel = 5_000_000) ?(account = false) (c : Move_insert.clustered)
     ~(machine : Vliw_machine.t) ?(objects_of = fun _ -> Data.Obj_set.empty)
     ~input () : result =
   Telemetry.with_span "simulate" @@ fun () ->
-  let st = init c.Move_insert.cprog machine ~input ~fuel ~account in
-  let main = Prog.main c.Move_insert.cprog in
+  let prog = c.Move_insert.cprog in
+  let fs = C.index_funcs prog in
+  let nclusters = Vliw_machine.num_clusters machine in
+  let st =
+    {
+      machine;
+      assign = c.Move_insert.cassign;
+      move_routes = c.Move_insert.move_routes;
+      objects_of;
+      mem = M.create prog;
+      fs;
+      funcs = Array.make (C.num_funcs fs) None;
+      input;
+      outputs_rev = [];
+      cycles = 0;
+      moves = 0;
+      acct =
+        (if account then
+           Some
+             {
+               ac_categories = Array.make Attrib.num_categories 0;
+               ac_links = Array.make (nclusters * nclusters) 0;
+               ac_obj_moves = [||];
+               ac_unattributed = 0;
+               ac_local = [||];
+               ac_remote = [||];
+             }
+         else None);
+      fuel;
+      p_reg = [||];
+      p_val = [||];
+      p_ready = [||];
+      p_issued = [||];
+      p_seq = [||];
+      p_top = 0;
+      seq = 0;
+    }
+  in
   let (_ : I.value option) =
-    exec_func st ~assign:c.Move_insert.cassign
-      ~move_routes:c.Move_insert.move_routes ~objects_of main []
+    exec_func st (C.func_id fs (Func.name (Prog.main prog))) []
   in
   if Telemetry.is_enabled () then begin
     Telemetry.incr "sim.blocks_executed" ~by:(fuel - st.fuel);
@@ -424,35 +581,18 @@ let run ?(fuel = 5_000_000) ?(account = false) (c : Move_insert.clustered)
     Telemetry.set_gauge "sim.dynamic_moves" (float st.moves)
   end;
   let account =
-    match st.acct with
-    | None -> None
-    | Some a ->
-        let totals =
-          {
-            Attrib.t_cycles = st.cycles;
-            t_categories = Array.copy a.ac_categories;
-            t_moves = Hashtbl.fold (fun _ n acc -> acc + n) a.ac_links 0;
-            t_link_moves =
-              Hashtbl.fold (fun r n acc -> (r, n) :: acc) a.ac_links []
-              |> List.sort compare;
-            t_obj_moves =
-              Hashtbl.fold (fun o n acc -> (o, n) :: acc) a.ac_obj_moves []
-              |> List.sort (fun (oa, na) (ob, nb) ->
-                     match compare nb na with
-                     | 0 -> Data.compare_obj oa ob
-                     | c -> c);
-            t_unattributed_moves = a.ac_unattributed;
-            t_obj_access =
-              Hashtbl.fold
-                (fun o (l, r) acc ->
-                  (o, { Attrib.acc_local = !l; acc_remote = !r }) :: acc)
-                a.ac_access []
-              |> List.sort (fun (x, _) (y, _) -> Data.compare_obj x y);
-          }
-        in
+    Option.map
+      (fun a ->
+        let totals = totals st a in
         (match Attrib.check_identity totals with
         | Some msg -> sim_error "%s" msg
         | None -> ());
-        Some totals
+        totals)
+      st.acct
   in
-  { outputs = List.rev st.outputs_rev; cycles = st.cycles; dynamic_moves = st.moves; account }
+  {
+    outputs = List.rev st.outputs_rev;
+    cycles = st.cycles;
+    dynamic_moves = st.moves;
+    account;
+  }

@@ -8,6 +8,7 @@ let () =
       ("ir", Test_ir.suite);
       ("minic", Test_minic.suite);
       ("interp", Test_interp.suite);
+      ("engines", Test_engines.suite);
       ("analysis", Test_analysis.suite);
       ("graphpart", Test_graphpart.suite);
       ("opt", Test_opt.suite);
