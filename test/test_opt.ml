@@ -285,6 +285,50 @@ let prop_opt_pipeline_preserves =
       Helpers.equal_outputs a.outputs b.outputs)
     Gen_minic.arbitrary_program
 
+let pp_digest prog = Digest.to_hex (Digest.string (Fmt.str "%a" Prog.pp prog))
+
+(* Every front-end flag combination on every suite program, and the
+   default front end on generated programs, must print exactly the
+   program recorded in [Opt_digests]. *)
+let test_front_end_golden () =
+  let bad = ref [] in
+  let check what expected prog =
+    let got = pp_digest prog in
+    if not (String.equal got expected) then bad := what :: !bad
+  in
+  List.iter
+    (fun (name, digests) ->
+      let b = Benchsuite.Suite.find name in
+      Array.iteri
+        (fun i expected ->
+          let flag bit = i land bit <> 0 in
+          let p =
+            Gdp_core.Pipeline.prepare ~unroll:(flag 8) ~promote:(flag 4)
+              ~simplify:(flag 2) ~if_convert:(flag 1) b
+          in
+          check (Printf.sprintf "%s/flags %d" name i) expected
+            p.Gdp_core.Pipeline.prog)
+        digests)
+    Opt_digests.suite_digests;
+  Array.iteri
+    (fun seed expected ->
+      let b =
+        {
+          Benchsuite.Bench_intf.name = Printf.sprintf "gen-%d" seed;
+          description = "";
+          source = Gen_minic.gen_program_with_seed seed;
+          input = Gen_minic.input;
+          exhaustive_ok = false;
+        }
+      in
+      check (Printf.sprintf "gen_minic seed %d" seed) expected
+        (Gdp_core.Pipeline.prepare b).Gdp_core.Pipeline.prog)
+    Opt_digests.gen_minic_digests;
+  Alcotest.(check int) "suite programs covered"
+    (List.length Benchsuite.Suite.all)
+    (List.length Opt_digests.suite_digests);
+  Alcotest.(check (list string)) "front-end output moved" [] (List.rev !bad)
+
 let suite =
   [
     Alcotest.test_case "if-conversion flattens diamonds" `Quick
@@ -307,4 +351,6 @@ let suite =
     Alcotest.test_case "dce removes dead code" `Quick test_dce_removes_dead_code;
     Alcotest.test_case "dce keeps effects" `Quick test_dce_keeps_stores_and_allocs;
     prop_opt_pipeline_preserves;
+    Alcotest.test_case "front-end golden digests" `Quick
+      test_front_end_golden;
   ]
