@@ -13,6 +13,23 @@ type prepared = {
   reference : Vliw_interp.Interp.result;
 }
 
+(** The front end's optimizer, in the one order every compile uses:
+    scalar promotion, folding and copy propagation followed by DCE,
+    if-conversion into predicated hyperblocks, then DCE again. *)
+let optimize ?(promote = true) ?(simplify = true) ?(if_convert = true)
+    ?ifconvert_config (prog : Prog.t) : Prog.t =
+  Telemetry.with_span "optimize" (fun () ->
+      let prog = if promote then Vliw_opt.Promote.run prog else prog in
+      let prog =
+        if simplify then Vliw_opt.Dce.run (Vliw_opt.Simplify.run prog)
+        else prog
+      in
+      let prog =
+        if if_convert then Vliw_opt.Ifconvert.run ?config:ifconvert_config prog
+        else prog
+      in
+      if simplify then Vliw_opt.Dce.run prog else prog)
+
 (** Compile a benchmark, form predicated hyperblocks (Trimaran-style
     if-conversion; pass [~if_convert:false] to keep raw basic blocks),
     and collect the reference run and profile. *)
@@ -27,18 +44,7 @@ let prepare ?(unroll = true) ?(promote = true) ?(simplify = true)
             Minic.compile ~unroll bench.Benchsuite.Bench_intf.source)
       in
       let prog =
-        Telemetry.with_span "optimize" (fun () ->
-            let prog = if promote then Vliw_opt.Promote.run prog else prog in
-            let prog =
-              if simplify then Vliw_opt.Dce.run (Vliw_opt.Simplify.run prog)
-              else prog
-            in
-            let prog =
-              if if_convert then
-                Vliw_opt.Ifconvert.run ?config:ifconvert_config prog
-              else prog
-            in
-            if simplify then Vliw_opt.Dce.run prog else prog)
+        optimize ~promote ~simplify ~if_convert ?ifconvert_config prog
       in
       Telemetry.set_gauge "ir.ops" (float (Vliw_ir.Prog.op_count prog));
       let reference =

@@ -8,6 +8,19 @@ type prepared = {
   reference : Vliw_interp.Interp.result;
 }
 
+(** The front end's optimizer under an ["optimize"] span: scalar
+    promotion, folding and copy propagation followed by DCE,
+    if-conversion, then DCE again, each pass on unless switched off
+    ([simplify] switches both DCE runs).  [prepare] and [gdpc compile]
+    / [gdpc run] all optimize through it. *)
+val optimize :
+  ?promote:bool ->
+  ?simplify:bool ->
+  ?if_convert:bool ->
+  ?ifconvert_config:Vliw_opt.Ifconvert.config ->
+  Vliw_ir.Prog.t ->
+  Vliw_ir.Prog.t
+
 (** Compile a benchmark (unrolling, scalar promotion, simplification,
     if-conversion — each individually togglable) and collect the
     reference run and profile. *)

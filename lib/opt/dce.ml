@@ -21,25 +21,33 @@ let has_side_effect op =
   | _ -> Op.is_terminator op
 
 let dce_func (f : Func.t) : Func.t =
-  (* fixpoint: needed registers *)
+  (* least fixpoint of "needed", by one worklist over a register ->
+     defining-ops table: a register becomes needed once, and only then
+     are its definitions kept and their uses noted *)
+  let defs_of : (Reg.t, Op.t) Hashtbl.t = Hashtbl.create 64 in
+  Func.iter_ops
+    (fun op -> List.iter (fun r -> Hashtbl.add defs_of r op) (Op.defs op))
+    f;
   let needed : (Reg.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let changed = ref true in
+  let work = Stack.create () in
   let note r =
     if not (Hashtbl.mem needed r) then begin
       Hashtbl.replace needed r ();
-      changed := true
+      Stack.push r work
     end
   in
+  Func.iter_ops
+    (fun op -> if has_side_effect op then List.iter note (Op.uses op))
+    f;
+  while not (Stack.is_empty work) do
+    List.iter
+      (fun op -> List.iter note (Op.uses op))
+      (Hashtbl.find_all defs_of (Stack.pop work))
+  done;
   let keep op =
     has_side_effect op
     || List.exists (fun r -> Hashtbl.mem needed r) (Op.defs op)
   in
-  while !changed do
-    changed := false;
-    Func.iter_ops
-      (fun op -> if keep op then List.iter note (Op.uses op))
-      f
-  done;
   Func.map_blocks
     (fun b ->
       Block.v ~label:(Block.label b)

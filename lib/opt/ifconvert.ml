@@ -88,15 +88,13 @@ let guard_body ~fresh_reg ~fresh_op p sense body =
 
 type fresh = { mutable next_reg : int; mutable next_op : int }
 
-(** One conversion step on function [f]: find a convertible diamond or
-    triangle and flatten it.  Returns [None] at fixpoint. *)
-let convert_one ~(cfg : config) ~(fr : fresh) (f : Func.t) : Func.t option =
-  let preds = Func.predecessor_map f in
-  let pred_count l =
-    List.length (Option.value ~default:[] (Label.Map.find_opt l preds))
-  in
-  let blocks = Func.blocks f in
-  let find_block l = Func.find_block f l in
+(** One conversion step at slot [i]: if its block heads a convertible
+    diamond or triangle, flatten it in place and return [true].  Fresh
+    registers and op ids are taken only when the conversion happens. *)
+let convert_at ~(cfg : config) ~(fr : fresh) tbl i : bool =
+  let slot l = Block_table.find tbl l in
+  let pred_count l = Block_table.pred_count tbl (slot l) in
+  let find_block l = Option.get (Block_table.block tbl (slot l)) in
   let fresh_reg () =
     let r = fr.next_reg in
     fr.next_reg <- r + 1;
@@ -181,36 +179,45 @@ let convert_one ~(cfg : config) ~(fr : fresh) (f : Func.t) : Func.t option =
         | false, false -> None)
     | _ -> None
   in
-  let rec scan = function
-    | [] -> None
-    | a :: rest -> (
-        match try_convert a with
-        | Some (a', consumed) ->
-            let blocks' =
-              List.filter_map
-                (fun b ->
-                  if Label.equal (Block.label b) (Block.label a') then
-                    Some a'
-                  else if Label.Set.mem (Block.label b) consumed then None
-                  else Some b)
-                blocks
-            in
-            Some (Func.v ~name:(Func.name f) ~params:(Func.params f)
-                    ~blocks:blocks' ~reg_count:fr.next_reg)
-        | None -> scan rest)
-  in
-  scan blocks
+  match Block_table.block tbl i with
+  | None -> false
+  | Some a -> (
+      match try_convert a with
+      | None -> false
+      | Some (a', consumed) ->
+          Block_table.set tbl i a';
+          Label.Set.iter (fun l -> Block_table.delete tbl (slot l)) consumed;
+          true)
 
+(** Convert and straighten to a fixpoint, then straighten without the
+    size bound.  Every step is the one a rescan from the first block
+    would take: the first mergeable block in layout order while any
+    exists, otherwise the first convertible one, because fresh registers
+    and op ids are numbered in conversion order.  A conversion at slot
+    [i] can make only [i] mergeable, and only [i] and its predecessors
+    convertible, so those are all the walk revisits. *)
 let convert_func ~cfg ~fr (f : Func.t) : Func.t =
-  let rec fixpoint f =
-    (* interleave straightening so joins fold into the hyperblock *)
-    let f = Straighten.merge_func ~max_ops:cfg.max_block_ops f in
-    match convert_one ~cfg ~fr f with
-    | Some f' -> fixpoint f'
-    | None -> f
+  let tbl = Block_table.of_func f in
+  let max_ops = cfg.max_block_ops in
+  Straighten.merge_all ~max_ops tbl;
+  let work = Block_table.Worklist.full (Block_table.length tbl) in
+  let rec go () =
+    match Block_table.Worklist.pop work with
+    | None -> ()
+    | Some i ->
+        if convert_at ~cfg ~fr tbl i then begin
+          while Straighten.merge_at ~max_ops tbl i do
+            ()
+          done;
+          List.iter
+            (Block_table.Worklist.add work)
+            (i :: Block_table.preds tbl i)
+        end;
+        go ()
   in
-  let f = fixpoint f in
-  Straighten.merge_func ~max_ops:max_int f
+  go ();
+  Straighten.merge_all ~max_ops:max_int tbl;
+  Block_table.to_func f tbl
 
 (** If-convert a whole program. *)
 let run ?(config = default_config) (prog : Prog.t) : Prog.t =

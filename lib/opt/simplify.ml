@@ -67,28 +67,34 @@ let def_counts (f : Func.t) : (Reg.t, int) Hashtbl.t =
     f;
   counts
 
-let simplify_func (f : Func.t) : Func.t =
-  (* pass 1: fold constants *)
-  let f = Func.map_blocks (fun b ->
-      Block.v ~label:(Block.label b)
-        ~body:(List.map fold_op (Block.body b))
-        ~term:(Block.term b))
-      f
-  in
-  (* pass 2: find propagatable copies *)
+(** One round of folding and propagation over [f].  The flag is [true]
+    when the round changed something: [fold_op] changed an op's kind, or
+    a rewrite replaced an operand or a guard register.  Unchanged ops
+    are returned as they are, and an unchanged round returns [f]
+    itself. *)
+let simplify_func (f : Func.t) : Func.t * bool =
+  let changed = ref false in
+  (* folding keeps every definition and guard, so the counts taken
+     before it hold after it *)
   let counts = def_counts f in
   let single r = Hashtbl.find_opt counts r = Some 1 in
+  (* pass 1: fold constants, noting propagatable copies as they appear *)
   let replacement : (Reg.t, Op.operand) Hashtbl.t = Hashtbl.create 32 in
-  Func.iter_ops
-    (fun op ->
-      match (Op.kind op, Op.guard op) with
-      | Op.Un (Op.Copy, d, src), None when single d -> (
-          match src with
-          | Op.Imm _ | Op.Fimm _ -> Hashtbl.replace replacement d src
-          | Op.Reg s when single s -> Hashtbl.replace replacement d src
-          | Op.Reg _ -> ())
-      | _ -> ())
-    f;
+  let fold op =
+    let op' = fold_op op in
+    if op' != op then changed := true;
+    (match (Op.kind op', Op.guard op') with
+    | Op.Un (Op.Copy, d, src), None when single d -> (
+        match src with
+        | Op.Imm _ | Op.Fimm _ -> Hashtbl.replace replacement d src
+        | Op.Reg s when single s -> Hashtbl.replace replacement d src
+        | Op.Reg _ -> ())
+    | _ -> ());
+    op'
+  in
+  let folded =
+    List.map (fun b -> (b, List.map fold (Block.body b))) (Func.blocks f)
+  in
   (* resolve chains d -> s -> imm *)
   let rec resolve operand depth =
     if depth > 8 then operand
@@ -100,9 +106,21 @@ let simplify_func (f : Func.t) : Func.t =
           | None -> operand)
       | _ -> operand
   in
-  let rw operand = resolve operand 0 in
+  (* pass 2: propagate; [touched] records a replacement in the current op *)
+  let touched = ref false in
+  let rw operand =
+    match operand with
+    | Op.Reg r when Hashtbl.mem replacement r -> (
+        match resolve operand 0 with
+        | Op.Reg r' when Reg.equal r r' -> operand
+        | operand' ->
+            touched := true;
+            operand')
+    | _ -> operand
+  in
   let rwr r = match rw (Op.Reg r) with Op.Reg r' -> r' | _ -> r in
   let rewrite op =
+    touched := false;
     let kind =
       match Op.kind op with
       | Op.Ibin (o, d, a, b) -> Op.Ibin (o, d, rw a, rw b)
@@ -129,32 +147,39 @@ let simplify_func (f : Func.t) : Func.t =
         (fun { Op.greg; gsense } -> { Op.greg = rwr greg; gsense })
         (Op.guard op)
     in
-    Op.make ?guard ~id:(Op.id op) kind
+    if !touched then begin
+      changed := true;
+      Op.make ?guard ~id:(Op.id op) kind
+    end
+    else op
   in
-  Func.map_blocks
-    (fun b ->
-      Block.v ~label:(Block.label b)
-        ~body:(List.map rewrite (Block.body b))
-        ~term:(rewrite (Block.term b)))
-    f
+  let blocks =
+    List.map
+      (fun (b, body) ->
+        Block.v ~label:(Block.label b)
+          ~body:(List.map rewrite body)
+          ~term:(rewrite (Block.term b)))
+      folded
+  in
+  if !changed then (Func.with_blocks f blocks, true) else (f, false)
 
-(** Iterate folding + propagation to a fixpoint (bounded). *)
+(** Iterate folding + propagation until a round changes nothing, at most
+    four rounds per function.  A function's rounds read only that
+    function, so once a round leaves it unchanged every later round
+    would too: each function stops on its own. *)
 let run (prog : Prog.t) : Prog.t =
-  let step p =
-    Prog.v
-      ~globals:(Prog.globals p)
-      ~funcs:(List.map simplify_func (Prog.funcs p))
-      ~op_count:(Prog.op_count p)
-  in
-  let rec go p n =
-    if n = 0 then p
+  let rec go f n =
+    if n = 0 then f
     else
-      let p' = step p in
-      (* cheap convergence check: compare printed sizes *)
-      if Fmt.str "%a" Prog.pp p' = Fmt.str "%a" Prog.pp p then p'
-      else go p' (n - 1)
+      let f', changed = simplify_func f in
+      if changed then go f' (n - 1) else f'
   in
-  let p = go prog 4 in
+  let p =
+    Prog.v
+      ~globals:(Prog.globals prog)
+      ~funcs:(List.map (fun f -> go f 4) (Prog.funcs prog))
+      ~op_count:(Prog.op_count prog)
+  in
   (try Validate.check p
    with Validate.Invalid m ->
      invalid_arg ("Simplify.run produced invalid IR: " ^ m));

@@ -3,5 +3,12 @@
 
 open Vliw_ir
 
-val merge_func : ?max_ops:int -> Func.t -> Func.t
+(** Merge slot [i]'s block with its jump target if the target is not
+    the entry, has no other predecessor and the merged block has at most
+    [max_ops] ops.  [true] when it merged. *)
+val merge_at : max_ops:int -> Block_table.t -> int -> bool
+
+(** Merge until no block can merge, first candidate in layout order. *)
+val merge_all : max_ops:int -> Block_table.t -> unit
+
 val run : ?max_ops:int -> Prog.t -> Prog.t

@@ -22,6 +22,7 @@ type span = {
   name : string;
   start_us : float;
   dur_us : float;
+  words : float;
   args : (string * string) list;
 }
 
@@ -63,6 +64,7 @@ type open_span = {
   o_parent : int option;
   o_name : string;
   o_start : float;
+  o_words : float;
   mutable o_args : (string * string) list;
 }
 
@@ -154,7 +156,15 @@ let observe name v =
   if s.enabled then
     Par.Lock.with_lock metrics_lock (fun () -> observe_in s name v)
 
-let close_span (s : state) (o : open_span) ~end_us =
+(* Words this domain has allocated so far: minor + major - promoted, as
+   the benchmark's traced run counts them.  [Gc.minor_words] reads the
+   live minor-heap pointer; direct major allocations reach the counters
+   only at GC slices, so they can shift between neighbouring spans. *)
+let alloc_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let close_span (s : state) (o : open_span) ~end_us ~end_words =
   let dur_us = Float.max 0. (end_us -. o.o_start) in
   Par.Lock.with_lock metrics_lock (fun () ->
       observe_in s ("span_us:" ^ o.o_name) dur_us);
@@ -165,6 +175,7 @@ let close_span (s : state) (o : open_span) ~end_us =
       name = o.o_name;
       start_us = o.o_start;
       dur_us;
+      words = Float.max 0. (end_words -. o.o_words);
       args = List.rev o.o_args;
     }
     :: s.completed
@@ -182,6 +193,7 @@ let with_span ?(args = []) name f =
         o_parent = parent;
         o_name = name;
         o_start = !clock ();
+        o_words = alloc_words ();
         o_args = List.rev args;
       }
     in
@@ -189,6 +201,7 @@ let with_span ?(args = []) name f =
     Fun.protect
       ~finally:(fun () ->
         let end_us = !clock () in
+        let end_words = alloc_words () in
         (* pop back to (and through) our frame; anything above it was
            left open by an escaping exception and closes at our end time *)
         let rec pop () =
@@ -196,7 +209,7 @@ let with_span ?(args = []) name f =
           | [] -> ()
           | top :: rest ->
               s.stack <- rest;
-              close_span s top ~end_us;
+              close_span s top ~end_us ~end_words;
               if top.o_id <> id then pop ()
         in
         pop ())
@@ -221,7 +234,8 @@ let record_span ?(args = []) name ~start_us ~dur_us =
     let dur_us = Float.max 0. dur_us in
     Par.Lock.with_lock metrics_lock (fun () ->
         observe_in s ("span_us:" ^ name) dur_us);
-    s.completed <- { id; parent; name; start_us; dur_us; args } :: s.completed
+    s.completed <-
+      { id; parent; name; start_us; dur_us; words = 0.; args } :: s.completed
   end
 
 let timed name f =
@@ -420,6 +434,7 @@ module Sink = struct
     a_name : string;
     a_count : int;
     a_total : float;  (** microseconds *)
+    a_words : float;
     a_children : agg list;
   }
 
@@ -446,6 +461,7 @@ module Sink = struct
           a_name = name;
           a_count = List.length sps;
           a_total = List.fold_left (fun a sp -> a +. sp.dur_us) 0. sps;
+          a_words = List.fold_left (fun a sp -> a +. sp.words) 0. sps;
           a_children = aggregate snap kids;
         })
       (List.rev !order)
@@ -457,8 +473,8 @@ module Sink = struct
     in
     if roots = [] then Fmt.pf ppf "no spans recorded@."
     else begin
-      Fmt.pf ppf "%-42s %12s %12s %8s@." "span" "total (ms)" "self (ms)"
-        "calls";
+      Fmt.pf ppf "%-42s %12s %12s %8s %14s@." "span" "total (ms)" "self (ms)"
+        "calls" "words";
       let rec render depth (a : agg) =
         let child_total =
           List.fold_left (fun acc c -> acc +. c.a_total) 0. a.a_children
@@ -467,8 +483,8 @@ module Sink = struct
         let label =
           Printf.sprintf "%s%s" (String.make (2 * depth) ' ') a.a_name
         in
-        Fmt.pf ppf "%-42s %12.3f %12.3f %8d@." label (a.a_total /. 1e3)
-          (self /. 1e3) a.a_count;
+        Fmt.pf ppf "%-42s %12.3f %12.3f %8d %14.0f@." label
+          (a.a_total /. 1e3) (self /. 1e3) a.a_count a.a_words;
         List.iter (render (depth + 1)) a.a_children
       in
       List.iter (render 0) (aggregate snap roots)

@@ -3,7 +3,7 @@
     A global telemetry registry: hierarchical wall-clock spans
     ([with_span]), monotonic counters and gauges, and pluggable sinks — a Chrome trace-event JSON exporter (open the file in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}), a
-    plain-text span-tree summary with self/total times, and a CSV metrics
+    plain-text span-tree summary with self/total times and allocated words, and a CSV metrics
     dump.
 
     Telemetry is disabled by default and near-zero-cost in that state:
@@ -28,6 +28,9 @@ type span = {
   name : string;
   start_us : float;  (** clock value when the span opened, microseconds *)
   dur_us : float;  (** wall-clock duration, microseconds *)
+  words : float;
+      (** words allocated while the span was open (minor + major -
+          promoted, this domain only); 0 for [record_span] spans *)
   args : (string * string) list;  (** free-form key/value annotations *)
 }
 
@@ -76,8 +79,9 @@ val set_clock : (unit -> float) option -> unit
 (** {1 Recording} *)
 
 (** [with_span name f] runs [f] inside a span.  The span is recorded
-    (closed) even if [f] raises.  When telemetry is disabled this is
-    just [f ()]. *)
+    (closed) even if [f] raises, with its duration and the words
+    allocated while it was open.  When telemetry is disabled this is
+    just [f ()]: no clock or allocation counter is read. *)
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
 (** Attach an annotation to the innermost open span (no-op when disabled
@@ -160,8 +164,9 @@ module Sink : sig
   val write_chrome_trace : string -> snapshot -> unit
 
   (** Plain-text span tree: spans aggregated by name under their parent,
-      with total time, self time (total minus direct children) and call
-      counts. *)
+      with total time, self time (total minus direct children), call
+      counts and the words allocated inside the spans (children
+      included). *)
   val span_tree : Format.formatter -> snapshot -> unit
 
   val metrics_table : Format.formatter -> snapshot -> unit

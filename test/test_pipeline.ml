@@ -157,8 +157,27 @@ let prop_methods_on_random_programs =
         Methods.all)
     Gen_minic.arbitrary_program
 
+(* `gdpc compile` and `gdpc run` optimize through [Pipeline.optimize],
+   so the CLI prints the program every other command compiles. *)
+let test_gdpc_compile_matches_prepare () =
+  let bench : Benchsuite.Bench_intf.t =
+    {
+      name = "dotprod";
+      description = "";
+      source = Dotprod_src.source;
+      input = [| 1; 2; 3; 4; 5; 6; 7; 8 |];
+      exhaustive_ok = false;
+    }
+  in
+  let p = Gdp_core.Pipeline.prepare bench in
+  Alcotest.(check string) "gdpc compile examples/dotprod.c"
+    (Fmt.str "%a@." Vliw_ir.Prog.pp p.Gdp_core.Pipeline.prog)
+    Gdpc_compile_dotprod.output
+
 let suite =
   [
+    Alcotest.test_case "gdpc compile prints the prepared program" `Quick
+      test_gdpc_compile_matches_prepare;
     Alcotest.test_case "verify rawcaudio/fir/fsed, all methods" `Slow
       test_verify_small_suite;
     Alcotest.test_case "verify float benchmark" `Slow test_verify_float_bench;

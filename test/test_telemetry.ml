@@ -264,6 +264,40 @@ let test_disabled_is_noop () =
   Alcotest.(check int) "counter reads 0" 0
     (Telemetry.counter_value "ghost.counter")
 
+(* Enabled spans carry the words allocated inside them (children
+   included) and the summary prints them per span name; a disabled run
+   records no span and so no words. *)
+let test_span_words () =
+  let alloc n = ignore (Sys.opaque_identity (List.init n Fun.id)) in
+  let (), snap =
+    Telemetry.capture (fun () ->
+        Telemetry.with_span "outer" (fun () ->
+            alloc 1000;
+            Telemetry.with_span "inner" (fun () -> alloc 10_000)))
+  in
+  let words name =
+    match Telemetry.Snapshot.spans_named snap name with
+    | [ sp ] -> sp.Telemetry.words
+    | _ -> Alcotest.failf "expected one %s span" name
+  in
+  (* a list cell is three words *)
+  Alcotest.(check bool) "inner counts its list" true (words "inner" >= 30_000.);
+  Alcotest.(check bool) "outer includes inner" true
+    (words "outer" >= words "inner" +. 3_000.);
+  let summary = Fmt.str "%a" Telemetry.Sink.summary snap in
+  let row =
+    List.find
+      (fun l -> String.length l > 7 && String.sub l 0 7 = "  inner")
+      (String.split_on_char '\n' summary)
+  in
+  Alcotest.(check bool) "summary row ends with the words" true
+    (String.ends_with ~suffix:(Printf.sprintf " %.0f" (words "inner")) row);
+  Telemetry.disable ();
+  Telemetry.reset ();
+  Telemetry.with_span "ghost" (fun () -> alloc 10_000);
+  Alcotest.(check int) "disabled: nothing recorded" 0
+    (List.length (Telemetry.snapshot ()).Telemetry.spans)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 
@@ -722,6 +756,7 @@ let suite =
       test_timed_agrees_with_span;
     Alcotest.test_case "disabled mode is a no-op" `Quick
       test_disabled_is_noop;
+    Alcotest.test_case "spans record allocated words" `Quick test_span_words;
     Alcotest.test_case "counter monotonicity and gauge kinds" `Quick
       test_counter_monotonicity;
     Alcotest.test_case "histogram bucketing" `Quick test_histogram_buckets;
