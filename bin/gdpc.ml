@@ -374,19 +374,9 @@ let robust_flag =
            gdp -> profile-max -> naive -> unified instead of aborting.  \
            Implied by --inject.")
 
-let par_domains_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "par-domains" ] ~docv:"N"
-        ~doc:
-          "Domains that run the partitioning passes (default 1).  An \
-           execution width only: the output is byte-identical for every \
-           N; only the wall clock changes.")
-
 let partition_cmd =
-  let run obs file input method_ latency clusters machine_name par_domains
-      show_sched verify robust =
+  let run obs file input method_ latency clusters machine_name show_sched
+      verify robust =
     handle_errors (fun () ->
         let source = read_file file in
         let bench =
@@ -418,7 +408,7 @@ let partition_cmd =
             match
               Gdp_core.Pipeline.run ~prepared ~ctx
                 ~mode:(Gdp_core.Pipeline.Robust { verify = true })
-                ~par_workers:par_domains settings
+                settings
             with
             | Error m -> raise (Cli_error m)
             | Ok (Gdp_core.Pipeline.Evaluated _) -> assert false
@@ -436,8 +426,7 @@ let partition_cmd =
           end
           else
             match
-              Gdp_core.Pipeline.run ~ctx ~mode:Gdp_core.Pipeline.Plain
-                ~par_workers:par_domains settings
+              Gdp_core.Pipeline.run ~ctx ~mode:Gdp_core.Pipeline.Plain settings
             with
             | Ok (Gdp_core.Pipeline.Evaluated e) -> e
             | Ok (Gdp_core.Pipeline.Degraded _) -> assert false
@@ -512,8 +501,8 @@ let partition_cmd =
           cycles.")
     Term.(
       const run $ obs_term $ file_arg $ input_arg $ method_arg $ latency_arg
-      $ clusters_arg $ machine_arg $ par_domains_arg $ schedule_flag
-      $ verify_flag $ robust_flag)
+      $ clusters_arg $ machine_arg $ schedule_flag $ verify_flag
+      $ robust_flag)
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -684,10 +673,10 @@ let experiment_cmd =
              estimates as gdp-bench/1 JSON (BENCH_partitioner.json is a \
              snapshot of it).")
   in
-  let run obs names jobs par_domains json =
+  let run obs names jobs json =
     handle_errors (fun () ->
         if List.mem "list" names then List.iter (Fmt.pr "%s@.") Harness.names
-        else Harness.run ~jobs ~par_domains ~json names;
+        else Harness.run ~jobs ~json names;
         finish_obs obs)
   in
   Cmd.v
@@ -696,11 +685,8 @@ let experiment_cmd =
          "Reproduce the paper's tables and figures (Chu & Mahlke, CGO \
           2006), each under an experiment:NAME telemetry span ($(b,--stats) \
           prints their wall times).  $(b,-j) prefetches the suite sweeps \
-          over worker processes; $(b,--par-domains) N adds -parN rows to \
-          $(b,bechamel).")
-    Term.(
-      const run $ obs_term $ names_arg $ jobs_arg $ par_domains_arg
-      $ json_arg)
+          over worker processes; the output is the same for every $(b,-j).")
+    Term.(const run $ obs_term $ names_arg $ jobs_arg $ json_arg)
 
 let gate_cmd =
   let file_opt names docv doc =
@@ -723,9 +709,8 @@ let gate_cmd =
   let check_partitioner_arg =
     file_opt [ "check-partitioner" ] "FILE"
       "Partitioner gate: run bechamel and fail on ns/run rows more than \
-       400% above this gdp-bench/1 snapshot (BENCH_partitioner.json).  \
-       Pass the $(b,--par-domains) it was recorded with, or its -parN rows \
-       count as disappeared."
+       400% above this gdp-bench/1 snapshot (BENCH_partitioner.json); a \
+       baseline row missing from the run also fails."
   in
   let report_arg =
     file_opt [ "report" ] "DIR"
@@ -737,8 +722,7 @@ let gate_cmd =
       "Write the attribution baseline (gdp-attrib/1) for $(b,--check) to \
        $(docv)."
   in
-  let run obs jobs par_domains check tolerance check_partitioner report
-      baseline =
+  let run obs jobs check tolerance check_partitioner report baseline =
     handle_errors (fun () ->
         if tolerance < 0. then
           raise (Cli_error "--tolerance must be a non-negative percentage");
@@ -751,7 +735,7 @@ let gate_cmd =
                "nothing to do: give --check, --check-partitioner, --report \
                 or --baseline");
         let ok =
-          Harness.gate ~jobs ~par_domains ?report ?baseline ?check ~tolerance
+          Harness.gate ~jobs ?report ?baseline ?check ~tolerance
             ?check_partitioner ()
         in
         finish_obs obs;
@@ -761,11 +745,13 @@ let gate_cmd =
     (Cmd.info "gate"
        ~doc:
          "Regression gates against the committed baselines, and the \
-          attribution reports and baseline they are built from.  Exits \
-          non-zero when a gate fails.")
+          attribution reports and baseline they are built from.  $(b,-j) \
+          fans the attribution gate over worker processes; the partitioner \
+          gate times one compile at a time.  Exits non-zero when a gate \
+          fails.")
     Term.(
-      const run $ obs_term $ jobs_arg $ par_domains_arg $ check_arg
-      $ tolerance_arg $ check_partitioner_arg $ report_arg $ baseline_arg)
+      const run $ obs_term $ jobs_arg $ check_arg $ tolerance_arg
+      $ check_partitioner_arg $ report_arg $ baseline_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
@@ -935,7 +921,7 @@ let serve_cmd =
              each carrying its trace_id.")
   in
   let run obs socket tcp jobs cache_capacity max_pending brownout store_dir
-      par_workers events =
+      events =
     handle_errors (fun () ->
         let tcp = Option.map parse_hostport tcp in
         (* the global --inject/--inject-seed double as the server-side
@@ -951,7 +937,6 @@ let serve_cmd =
             max_frame = Service.Frame.default_max_frame;
             trace = obs.trace;
             events;
-            par_workers;
             store_dir;
             brownout;
             inject =
@@ -971,8 +956,7 @@ let serve_cmd =
           it cleanly.")
     Term.(
       const run $ obs_term $ socket_arg $ tcp_arg $ jobs_arg $ cache_arg
-      $ max_pending_arg $ brownout_arg $ store_arg $ par_domains_arg
-      $ events_arg)
+      $ max_pending_arg $ brownout_arg $ store_arg $ events_arg)
 
 let pp_artifact ppf art =
   let geti k = Option.bind (Minijson.member k art) Minijson.to_int in

@@ -81,11 +81,8 @@ let names = List.map (fun (n, _, _) -> n) (experiments ~jobs:1) @ [ "bechamel" ]
 let bechamel_benches = [ "rawcaudio"; "fir"; "mpeg2enc" ]
 
 (** Run the bechamel suite; returns [(test name, ns/run estimate)] rows,
-    sorted by name ([None] when OLS produced no estimate).  With [pool]
-    (opened once by the caller so staged closures never pay a domain
-    spawn), every method test gets a twin suffixed [-parN] ([N] = the
-    pool width) driving the same work through the pool. *)
-let bechamel_results ?pool () : (string * float option) list =
+    sorted by name ([None] when OLS produced no estimate). *)
+let bechamel_results () : (string * float option) list =
   let open Bechamel in
   let machine =
     Machine_spec.resolve (Machine_spec.of_legacy ~clusters:2 ~move_latency:5)
@@ -97,10 +94,10 @@ let bechamel_results ?pool () : (string * float option) list =
           Pipeline.context ~machine
             (Pipeline.prepare (Benchsuite.Suite.find name))
         in
-        let method_test ?pool suffix m =
+        let method_test m =
           Test.make
-            ~name:(Fmt.str "%s/%s%s" name (Partition.Methods.name m) suffix)
-            (Staged.stage (fun () -> ignore (Partition.Methods.run ?pool m ctx)))
+            ~name:(Fmt.str "%s/%s" name (Partition.Methods.name m))
+            (Staged.stage (fun () -> ignore (Partition.Methods.run m ctx)))
         in
         (* the METIS stand-in alone, on the real program graph *)
         let prob =
@@ -123,16 +120,7 @@ let bechamel_results ?pool () : (string * float option) list =
                    ignore (Graphpart.Partitioner.kway ~config graph ~nparts:4)));
           ]
         in
-        let par_tests =
-          match pool with
-          | None -> []
-          | Some pool ->
-              List.map
-                (method_test ~pool (Fmt.str "-par%d" (Par.size pool)))
-                Partition.Methods.all
-        in
-        List.map (method_test "") Partition.Methods.all
-        @ partitioner_tests @ par_tests)
+        List.map method_test Partition.Methods.all @ partitioner_tests)
       bechamel_benches
   in
   let test = Test.make_grouped ~name:"partitioning" ~fmt:"%s %s" tests in
@@ -158,16 +146,9 @@ let bechamel_results ?pool () : (string * float option) list =
     merged []
   |> List.sort compare
 
-(** Time the partitioning passes and print the rows.  [par_domains >= 2]
-    opens one pool for the whole suite, so domain spawn and teardown
-    happen here, never inside a staged closure, and adds the [-parN]
-    rows. *)
-let bechamel ~par_domains =
-  let rows =
-    if par_domains >= 2 then
-      Par.with_pool ~domains:par_domains (fun pool -> bechamel_results ~pool ())
-    else bechamel_results ()
-  in
+(** Time the partitioning passes and print the rows. *)
+let bechamel () =
+  let rows = bechamel_results () in
   Fmt.pr "@.measure: monotonic-clock (ns/run)@.";
   List.iter
     (fun (name, est) ->
@@ -206,7 +187,7 @@ let write_json path ~timings ~bechamel =
     [experiment:NAME] telemetry span; [[]] reproduces the whole paper
     with a banner per experiment.  [json] receives the gdp-bench/1
     timings. *)
-let run ~jobs ~par_domains ~json names =
+let run ~jobs ~json names =
   let table = experiments ~jobs in
   let all = names = [] in
   if all then
@@ -230,7 +211,7 @@ let run ~jobs ~par_domains ~json names =
         if all then
           Fmt.pr "@.===================== %s =====================@." name;
         let f =
-          if name = "bechamel" then fun () -> bech := bechamel ~par_domains
+          if name = "bechamel" then fun () -> bech := bechamel ()
           else
             let _, _, f = List.find (fun (n, _, _) -> n = name) table in
             f
@@ -334,18 +315,17 @@ let check_attribution ~jobs ~tolerance path =
         (Gdp_report.Regress.check ~tolerance ~baseline:base ~current)
 
 (* Bechamel ns/run rows are wall-clock micro-benchmarks; the gate's job
-   is catching order-of-magnitude collapses (a parallel path silently
-   serializing, an accidental quadratic), not 2% jitter.  Hence a very
-   generous fixed tolerance. *)
+   is catching order-of-magnitude collapses (an accidental quadratic),
+   not 2% jitter.  Hence a very generous fixed tolerance. *)
 let partitioner_tolerance = 400.0
 
-let check_partitioner ~par_domains path =
+let check_partitioner path =
   match Gdp_report.Regress.load_partitioner path with
   | Error m ->
       Fmt.epr "check-partitioner: cannot load baseline: %s@." m;
       false
   | Ok base ->
-      let rows = bechamel ~par_domains in
+      let rows = bechamel () in
       verdict ~gate:"check-partitioner"
         ~rows:(List.length base.Gdp_report.Regress.pb_rows)
         ~bound:(Fmt.str "%.0f%%" partitioner_tolerance)
@@ -362,10 +342,8 @@ let write_text_file path render =
 
 (** Write the attribution [report] directory and [baseline] file, then
     run the [check] and [check_partitioner] gates; [false] when a gate
-    failed.  The attribution gate forks worker processes (-j), so it
-    runs before the partitioner gate can spawn any domain: once a
-    process has created a domain, OCaml 5 forbids [Unix.fork] for good. *)
-let gate ~jobs ~par_domains ?report ?baseline ?check ~tolerance
+    failed. *)
+let gate ~jobs ?report ?baseline ?check ~tolerance
     ?check_partitioner:partitioner () =
   let es = lazy (explanations ~move_latency:attrib_latency) in
   Option.iter
@@ -382,6 +360,6 @@ let gate ~jobs ~par_domains ?report ?baseline ?check ~tolerance
     Option.fold ~none:true ~some:(check_attribution ~jobs ~tolerance) check
   in
   let part_ok =
-    Option.fold ~none:true ~some:(check_partitioner ~par_domains) partitioner
+    Option.fold ~none:true ~some:check_partitioner partitioner
   in
   attrib_ok && part_ok

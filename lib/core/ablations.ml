@@ -253,7 +253,7 @@ let bug_comparison ?(benches = Benchsuite.Suite.all) ?(move_latency = 5) () :
            ~profile:ctx.Methods.profile ())
           .Partition.Gdp.obj_home
       in
-      let rhop = Partition.Rhop.partition ?config:None ?pool:None in
+      let rhop = Partition.Rhop.partition ?config:None in
       {
         bg_bench = b.Benchsuite.Bench_intf.name;
         bg_rhop_unified = evaluate_with rhop [];

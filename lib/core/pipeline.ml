@@ -57,36 +57,23 @@ let prepare ?(unroll = true) ?(promote = true) ?(simplify = true)
 (* With default front-end flags [prepare] is a pure function of the
    benchmark, and the experiment drivers sweep the same benchmark set
    once per move latency — without memoization every sweep recompiles,
-   re-optimizes and re-profiles every benchmark.  Plain [Hashtbl] memo
-   behind [cache_lock]: compiles happen outside the lock (a racing pair
-   of workers may both compile, last write wins — the entries are
-   equal), table accesses inside it.  The memo is bounded: long
-   fuzzing runs stream thousands of distinct programs through the
-   pipeline, and an unbounded memo would hold every compiled program
-   alive.  On overflow the whole table is dropped (the suite has ~19
+   re-optimizes and re-profiles every benchmark.  The memo is a plain
+   [Hashtbl], bounded: long fuzzing runs stream thousands of distinct
+   programs through the pipeline, and an unbounded memo would hold
+   every compiled program alive.  On overflow the whole table is dropped (the suite has ~19
    benchmarks, far below the cap, so sweeps never evict). *)
 let prepare_cache : (string, prepared) Hashtbl.t = Hashtbl.create 16
 let prepare_cache_limit = 64
 
-(* One lock for every process-wide cache this module owns or clears:
-   the prepare memo, the clearer registry, and the [clearing] reentrancy
-   flag.  Indispensable once [Par] pools exist — [clear_caches] (or a
-   worker warming the memo) must not race a mutating registration. *)
-let cache_lock = Par.Lock.create ()
-
 let prepare_default (bench : Benchsuite.Bench_intf.t) : prepared =
   let name = bench.Benchsuite.Bench_intf.name in
-  match
-    Par.Lock.with_lock cache_lock (fun () ->
-        Hashtbl.find_opt prepare_cache name)
-  with
+  match Hashtbl.find_opt prepare_cache name with
   | Some p -> p
   | None ->
       let p = prepare bench in
-      Par.Lock.with_lock cache_lock (fun () ->
-          if Hashtbl.length prepare_cache >= prepare_cache_limit then
-            Hashtbl.reset prepare_cache;
-          Hashtbl.replace prepare_cache name p);
+      if Hashtbl.length prepare_cache >= prepare_cache_limit then
+        Hashtbl.reset prepare_cache;
+      Hashtbl.replace prepare_cache name p;
       p
 
 (* Downstream layers (e.g. the report explainer) keep their own bounded
@@ -100,42 +87,32 @@ let extra_clearers : (string, unit -> unit) Hashtbl.t = Hashtbl.create 8
 let anon_clearers = ref 0
 
 let register_cache_clearer ?key f =
-  Par.Lock.with_lock cache_lock (fun () ->
-      let key =
-        match key with
-        | Some k -> k
-        | None ->
-            incr anon_clearers;
-            Printf.sprintf "<anonymous-%d>" !anon_clearers
-      in
-      Hashtbl.replace extra_clearers key f)
+  let key =
+    match key with
+    | Some k -> k
+    | None ->
+        incr anon_clearers;
+        Printf.sprintf "<anonymous-%d>" !anon_clearers
+  in
+  Hashtbl.replace extra_clearers key f
 
 (* Guard against a clearer calling [clear_caches] back (directly or via
    a layer that "helpfully" clears everything): the inner call is a
-   no-op instead of an infinite recursion.  The flag is checked-and-set
-   under [cache_lock]; the clearers themselves run OUTSIDE the lock (on
-   a snapshot of the registry) so a clearer that re-registers itself —
-   the keyed-registration pattern — cannot deadlock on the
-   non-reentrant mutex. *)
+   no-op instead of an infinite recursion.  The clearers run on a
+   snapshot of the registry, so a clearer that re-registers itself —
+   the keyed-registration pattern — does not mutate the table being
+   walked. *)
 let clearing = ref false
 
 let clear_caches () =
-  let to_run =
-    Par.Lock.with_lock cache_lock (fun () ->
-        if !clearing then None
-        else begin
-          clearing := true;
-          Hashtbl.reset prepare_cache;
-          Some (Hashtbl.fold (fun _ f acc -> f :: acc) extra_clearers [])
-        end)
-  in
-  match to_run with
-  | None -> ()
-  | Some fs ->
-      Fun.protect
-        ~finally:(fun () ->
-          Par.Lock.with_lock cache_lock (fun () -> clearing := false))
-        (fun () -> List.iter (fun f -> f ()) fs)
+  if not !clearing then begin
+    clearing := true;
+    Hashtbl.reset prepare_cache;
+    let fs = Hashtbl.fold (fun _ f acc -> f :: acc) extra_clearers [] in
+    Fun.protect
+      ~finally:(fun () -> clearing := false)
+      (fun () -> List.iter (fun f -> f ()) fs)
+  end
 
 let context ?machine ?merge_low_slack (p : prepared) : Methods.context =
   let machine =
@@ -150,27 +127,13 @@ type evaluation = {
   report : Vliw_sched.Perf.report;
 }
 
-(* Scope a [Par] pool of [par_workers] domains around one method run;
-   1 (the default everywhere) never touches [Par].  The width changes
-   only the wall clock, never the outcome.  The pool lives exactly as
-   long as the partitioning work: it is torn down before control
-   returns to callers that may fork ([Exec] pools), because worker
-   domains do not survive [fork]. *)
-let run_method ?rhop_config ?gdp_config ?(par_workers = 1) ctx method_ =
-  if par_workers >= 2 then
-    Par.with_pool ~domains:par_workers (fun pool ->
-        Methods.run ?rhop_config ?gdp_config ~pool method_ ctx)
-  else Methods.run ?rhop_config ?gdp_config method_ ctx
-
 (* Run one method and price it under the cycle model — the shared core
    behind [run] and the [evaluate] wrapper. *)
-let evaluate_with ?rhop_config ?gdp_config ?par_workers
-    (ctx : Methods.context) method_ : evaluation =
+let evaluate_with ?rhop_config ?gdp_config (ctx : Methods.context) method_ :
+    evaluation =
   Telemetry.with_span "evaluate" ~args:[ ("method", Methods.name method_) ]
     (fun () ->
-      let outcome =
-        run_method ?rhop_config ?gdp_config ?par_workers ctx method_
-      in
+      let outcome = Methods.run ?rhop_config ?gdp_config method_ ctx in
       let report = Methods.evaluate ctx outcome in
       { outcome; report })
 
@@ -245,15 +208,13 @@ let verify p ctx e = Telemetry.with_span "verify" (fun () -> verify_body p ctx e
    cluster).  With [?verify_against] the full differential check
    (clustered interpretation + cycle simulation vs. the reference run)
    is included. *)
-let checked_with ?rhop_config ?gdp_config ?par_workers ?verify_against
+let checked_with ?rhop_config ?gdp_config ?verify_against
     (ctx : Methods.context) method_ : (evaluation, string) result =
   match
     Telemetry.with_span "evaluate-checked"
       ~args:[ ("method", Methods.name method_) ]
       (fun () ->
-        let outcome =
-          run_method ?rhop_config ?gdp_config ?par_workers ctx method_
-        in
+        let outcome = Methods.run ?rhop_config ?gdp_config method_ ctx in
         Vliw_sched.Assignment.validate
           outcome.Methods.clustered.Vliw_sched.Move_insert.cassign
           outcome.Methods.clustered.Vliw_sched.Move_insert.cprog
@@ -297,7 +258,7 @@ let pp_fallback ppf f =
    the result (and counted as a detected fault); a successful fallback
    counts as a recovery.  [Error] only when every method in the chain
    fails. *)
-let robust_with ?rhop_config ?gdp_config ?par_workers ~verify
+let robust_with ?rhop_config ?gdp_config ~verify
     (p : prepared) (ctx : Methods.context) method_ : (robust, string) result =
   Telemetry.with_span "evaluate-robust"
     ~args:[ ("method", Methods.name method_) ]
@@ -311,8 +272,7 @@ let robust_with ?rhop_config ?gdp_config ?par_workers ~verify
              (List.rev fallbacks))
     | m :: rest -> (
         match
-          checked_with ?rhop_config ?gdp_config ?par_workers ?verify_against
-            ctx m
+          checked_with ?rhop_config ?gdp_config ?verify_against ctx m
         with
         | Ok e ->
             if fallbacks <> [] then begin
@@ -650,7 +610,7 @@ let prepare_with (s : Settings.t) bench =
 type mode = Plain | Checked of { verify : bool } | Robust of { verify : bool }
 type run_result = Evaluated of evaluation | Degraded of robust
 
-let run ?prepared:p ?ctx ?(mode = Plain) ?par_workers (s : Settings.t) :
+let run ?prepared:p ?ctx ?(mode = Plain) (s : Settings.t) :
     (run_result, string) result =
   let rhop_config = s.Settings.rhop and gdp_config = s.Settings.gdp in
   let method_ = s.Settings.method_ in
@@ -670,8 +630,7 @@ let run ?prepared:p ?ctx ?(mode = Plain) ?par_workers (s : Settings.t) :
       | Plain ->
           Ok
             (Evaluated
-               (evaluate_with ?rhop_config ?gdp_config
-                  ?par_workers ctx method_))
+               (evaluate_with ?rhop_config ?gdp_config ctx method_))
       | Checked { verify } -> (
           match (verify, p) with
           | true, None ->
@@ -680,16 +639,15 @@ let run ?prepared:p ?ctx ?(mode = Plain) ?par_workers (s : Settings.t) :
               let verify_against = if verify then p else None in
               Result.map
                 (fun e -> Evaluated e)
-                (checked_with ?rhop_config ?gdp_config
-                   ?par_workers ?verify_against ctx method_))
+                (checked_with ?rhop_config ?gdp_config ?verify_against ctx
+                   method_))
       | Robust { verify } -> (
           match p with
           | None -> Error "Pipeline.run: Robust mode needs ~prepared"
           | Some p ->
               Result.map
                 (fun r -> Degraded r)
-                (robust_with ?rhop_config ?gdp_config
-                   ?par_workers ~verify p ctx method_)))
+                (robust_with ?rhop_config ?gdp_config ~verify p ctx method_)))
 
 (* ------------------------------------------------------------------ *)
 (* Compatibility wrappers: the pre-[Settings] signatures, re-expressed

@@ -35,25 +35,18 @@ val prepare :
 
 (** [prepare] with default flags, memoized by benchmark name — the
     front end is deterministic, so latency sweeps that revisit the same
-    benchmark reuse one compile + profile.  The memo is guarded by an
-    internal lock, so [Par] pool workers may warm it concurrently (the
-    compile itself runs outside the lock; duplicate compiles of the
-    same benchmark are equal and last write wins).  Callers
-    that vary the optional flags must use [prepare] directly.  The memo
-    is bounded (it resets when it outgrows the benchmark suite by a wide
-    margin), and [clear_caches] empties it on demand — fuzzing loops
-    call that between iterations so memory stays flat. *)
+    benchmark reuse one compile + profile.  Callers that vary the
+    optional flags must use [prepare] directly.  The memo is bounded (it
+    resets when it outgrows the benchmark suite by a wide margin), and
+    [clear_caches] empties it on demand — fuzzing loops call that
+    between iterations so memory stays flat. *)
 val prepare_default : Benchsuite.Bench_intf.t -> prepared
 
 (** Drop the [prepare_default] memo and run every registered clearer
     ([Experiments.clear_cache] drops the experiment sweep memo).
     Re-entrant: a clearer that calls [clear_caches] back gets a no-op,
-    not an infinite recursion.  Domain-safe: the registry and the memo
-    are mutated under the cache lock, so clearing while [Par] worker
-    domains are live (or while another domain registers a clearer)
-    cannot corrupt the tables; the clearers themselves run outside the
-    lock on a snapshot of the registry, so one that re-registers itself
-    cannot deadlock.
+    not an infinite recursion.  The clearers run on a snapshot of the
+    registry, so one that re-registers itself is safe.
 
     {b Fork-safety contract.}  Every cache behind this call is a plain
     in-process [Hashtbl]: a forked child (an [Exec] pool worker) gets a
@@ -210,8 +203,8 @@ module Settings : sig
       gdp-machine/1 spec object — except that legacy-shaped specs are
       emitted as the version-2 ["clusters"]/["move_latency"] pair.  A
       document carrying both forms at once is rejected.  A version-2
-      ["par_domains"] field is accepted (an int >= 1) and ignored: the
-      domain count is an execution width, not a setting. *)
+      ["par_domains"] field is accepted (an int >= 1) and ignored: it
+      named a domain count, and every compile runs on one domain. *)
   val to_json : t -> Minijson.t
 
   val of_json : Minijson.t -> (t, string) result
@@ -237,15 +230,10 @@ type run_result =
     supplied ready-made with [~ctx] (whose machine then wins — the
     settings' [machine] spec is ignored).  At least one of
     the two is required, and modes that verify against the reference
-    run ([Checked {verify = true}], [Robust _]) need [~prepared].
-
-    [?par_workers] (default 1) is how many domains run the partitioning
-    passes.  It is an execution width only: the result is the same for
-    every value, just faster or slower.  See [docs/parallelism.md]. *)
+    run ([Checked {verify = true}], [Robust _]) need [~prepared]. *)
 val run :
   ?prepared:prepared ->
   ?ctx:Partition.Methods.context ->
   ?mode:mode ->
-  ?par_workers:int ->
   Settings.t ->
   (run_result, string) result

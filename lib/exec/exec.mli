@@ -2,7 +2,7 @@
 
     [map] fans a list of jobs over a pool of forked worker processes
     (plain [Unix.fork] + pipes — works identically on OCaml 4.14 and
-    5.x, no Thread or Domain dependency) and collects one result per
+    5.x, with no shared-memory parallelism) and collects one result per
     job, in job order.  Jobs and results cross the pipes as versioned,
     newline-delimited {!Minijson} documents, so nothing that depends on
     [Marshal]'s binary compatibility is on the wire.

@@ -65,7 +65,6 @@ type outcome = {
     and the whole story for the Figure 9 exhaustive search. *)
 val clustered_with_homes :
   ?rhop_config:Rhop.config ->
-  ?pool:Par.pool ->
   context ->
   method_name:string ->
   rhop_runs:int ->
@@ -75,30 +74,23 @@ val clustered_with_homes :
 val run_gdp :
   ?rhop_config:Rhop.config ->
   ?gdp_config:Gdp.config ->
-  ?pool:Par.pool ->
   context ->
   outcome
 
 val run_profile_max :
   ?rhop_config:Rhop.config ->
   ?balance_tol:float ->
-  ?pool:Par.pool ->
   context ->
   outcome
 
-val run_naive : ?rhop_config:Rhop.config -> ?pool:Par.pool -> context -> outcome
+val run_naive : ?rhop_config:Rhop.config -> context -> outcome
 
-val run_unified :
-  ?rhop_config:Rhop.config -> ?pool:Par.pool -> context -> outcome
+val run_unified : ?rhop_config:Rhop.config -> context -> outcome
 
-(** [?pool] runs RHOP's independent blocks concurrently (see
-    [Rhop.partition]); the outcome is the same with or without it, for
-    any pool width.  See [docs/parallelism.md]. *)
 val run :
   ?rhop_config:Rhop.config ->
   ?gdp_config:Gdp.config ->
   ?balance_tol:float ->
-  ?pool:Par.pool ->
   t ->
   context ->
   outcome

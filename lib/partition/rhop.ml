@@ -302,157 +302,74 @@ let partition_block ~(machine : Vliw_machine.t) ~config ~objects_of
 (* ------------------------------------------------------------------ *)
 (* Whole-program driver                                                *)
 
-(** Partition one block against the current [reg_home] state: build the
-    lock function (memory homes plus registers homed by earlier blocks),
-    the block's live-out set, and run [partition_block].  Reads
-    [reg_home] but never writes it — the caller applies results — so
-    independent blocks can run concurrently against a quiescent
-    table. *)
-let block_result ~machine ~config ~objects_of ~lock_of
-    ~(reg_home : (Reg.t, int) Hashtbl.t) ~cfg ~liveness f (b : Block.t) :
-    (int * int) list =
-  (* locks: memory homes plus registers homed by earlier blocks *)
-  let lock_of op_id =
-    match lock_of op_id with Some c -> Some c | None -> None
-  in
-  let op_by_id : (int, Op.t) Hashtbl.t =
-    Hashtbl.create (List.length (Block.ops b))
-  in
-  List.iter (fun o -> Hashtbl.replace op_by_id (Op.id o) o) (Block.ops b);
-  let lock_with_reg op_id =
-    match lock_of op_id with
-    | Some c -> Some c
-    | None -> (
-        (* find the op to inspect its defs *)
-        match Hashtbl.find_opt op_by_id op_id with
-        | None -> None
-        | Some o ->
-            List.fold_left
-              (fun acc r ->
-                match (acc, Hashtbl.find_opt reg_home r) with
-                | Some c, Some c' when c <> c' ->
-                    invalid_arg
-                      "Rhop.partition: register re-homed across blocks"
-                | Some c, _ -> Some c
-                | None, h -> h)
-              None (Op.defs o))
-  in
-  let live_out =
-    Vliw_analysis.Liveness.live_out liveness
-      (Vliw_analysis.Cfg.block_index cfg (Block.label b))
-  in
-  Telemetry.incr "rhop.regions";
-  let args =
-    if Telemetry.is_enabled () then
-      [ ("func", Func.name f); ("label", Label.to_string (Block.label b)) ]
-    else []
-  in
-  Telemetry.with_span "rhop-region" ~args (fun () ->
-      partition_block ~machine ~config ~objects_of ~lock_of:lock_with_reg
-        ~reg_home ~live_out b)
-
-(** Commit one block's result: write its op clusters into [assign] and
-    record the homes of the registers it defines.  Must run in layout
-    order — [reg_home] is last-write-wins across blocks. *)
-let apply_result ~(reg_home : (Reg.t, int) Hashtbl.t) (assign : A.t)
-    (b : Block.t) (result : (int * int) list) : unit =
-  List.iter (fun (op_id, c) -> A.set_cluster assign ~op_id c) result;
-  (* record register homes for later blocks *)
-  List.iter
-    (fun o ->
-      match A.cluster_of_opt assign ~op_id:(Op.id o) with
-      | None -> ()
-      | Some c ->
-          List.iter (fun r -> Hashtbl.replace reg_home r c) (Op.defs o))
-    (Block.ops b)
-
-(** Per-function driver: blocks are scheduled in dependency waves.
-    [block_result] reads the [reg_home] entries of the registers a block
-    defines or uses, and [apply_result] writes those of the registers it
-    defines.  Two blocks conflict when one writes an entry the other
-    reads or writes; the later of the two in layout order goes in a
-    later wave.  Each wave partitions its blocks against the quiescent
-    [reg_home] table — concurrently when a [pool] is given, inline
-    otherwise — then results are committed in layout order on the
-    calling domain.  Every block therefore sees exactly the entries a
-    block-by-block layout-order walk would show it, so the assignment
-    is the same with or without a pool, for any pool width. *)
-let partition_func_waves ?pool ~machine ~config ~objects_of ~lock_of
-    (assign : A.t) f : unit =
+(** Per-function driver: a layout-order walk over the blocks.  Each
+    block is partitioned against the register homes of the blocks
+    before it (registers are locked to the cluster of their defining
+    block), then its op clusters go into [assign] and the registers it
+    defines are homed there — last write wins across blocks. *)
+let partition_func ~machine ~config ~objects_of ~lock_of (assign : A.t) f :
+    unit =
   let cfg = Vliw_analysis.Cfg.of_func f in
   let liveness = Vliw_analysis.Liveness.compute cfg in
   let reg_home : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let blocks = Array.of_list (Func.blocks f) in
-  let nb = Array.length blocks in
-  (* one layout-order sweep: per register, the deepest wave that wrote
-     it and the deepest that touched it so far *)
-  let wrote : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let touched : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let after tbl r d =
-    match Hashtbl.find_opt tbl r with Some d' -> max d (d' + 1) | None -> d
-  in
-  let raise_to tbl r d =
-    match Hashtbl.find_opt tbl r with
-    | Some d' when d' >= d -> ()
-    | _ -> Hashtbl.replace tbl r d
-  in
-  let depth =
-    Array.map
-      (fun b ->
-        let ops = Block.ops b in
-        let d =
-          List.fold_left
-            (fun d o ->
-              let d =
-                List.fold_left (fun d r -> after wrote r d) d (Op.uses o)
-              in
-              List.fold_left (fun d r -> after touched r d) d (Op.defs o))
-            0 ops
-        in
-        List.iter
-          (fun o ->
-            List.iter (fun r -> raise_to touched r d) (Op.uses o);
-            List.iter
-              (fun r ->
-                raise_to touched r d;
-                raise_to wrote r d)
-              (Op.defs o))
-          ops;
-        d)
-      blocks
-  in
-  let max_depth = Array.fold_left max 0 depth in
-  for d = 0 to max_depth do
-    let wave = ref [] in
-    for j = nb - 1 downto 0 do
-      if depth.(j) = d then wave := j :: !wave
-    done;
-    let wave = Array.of_list !wave in
-    let one k =
-      block_result ~machine ~config ~objects_of ~lock_of ~reg_home ~cfg
-        ~liveness f blocks.(wave.(k))
-    in
-    let n = Array.length wave in
-    let results =
-      match pool with
-      | Some pool -> Par.map pool ~n one
-      | None -> Array.init n one
-    in
-    (* commit in layout order: wave indices are ascending by block *)
-    Array.iteri
-      (fun k result -> apply_result ~reg_home assign blocks.(wave.(k)) result)
-      results
-  done
+  List.iter
+    (fun (b : Block.t) ->
+      let op_by_id : (int, Op.t) Hashtbl.t =
+        Hashtbl.create (List.length (Block.ops b))
+      in
+      List.iter (fun o -> Hashtbl.replace op_by_id (Op.id o) o) (Block.ops b);
+      (* locks: memory homes plus registers homed by earlier blocks *)
+      let lock_with_reg op_id =
+        match lock_of op_id with
+        | Some c -> Some c
+        | None -> (
+            (* find the op to inspect its defs *)
+            match Hashtbl.find_opt op_by_id op_id with
+            | None -> None
+            | Some o ->
+                List.fold_left
+                  (fun acc r ->
+                    match (acc, Hashtbl.find_opt reg_home r) with
+                    | Some c, Some c' when c <> c' ->
+                        invalid_arg
+                          "Rhop.partition: register re-homed across blocks"
+                    | Some c, _ -> Some c
+                    | None, h -> h)
+                  None (Op.defs o))
+      in
+      let live_out =
+        Vliw_analysis.Liveness.live_out liveness
+          (Vliw_analysis.Cfg.block_index cfg (Block.label b))
+      in
+      Telemetry.incr "rhop.regions";
+      let args =
+        if Telemetry.is_enabled () then
+          [ ("func", Func.name f); ("label", Label.to_string (Block.label b)) ]
+        else []
+      in
+      let result =
+        Telemetry.with_span "rhop-region" ~args (fun () ->
+            partition_block ~machine ~config ~objects_of ~lock_of:lock_with_reg
+              ~reg_home ~live_out b)
+      in
+      List.iter (fun (op_id, c) -> A.set_cluster assign ~op_id c) result;
+      (* record register homes for later blocks *)
+      List.iter
+        (fun o ->
+          match A.cluster_of_opt assign ~op_id:(Op.id o) with
+          | None -> ()
+          | Some c ->
+              List.iter (fun r -> Hashtbl.replace reg_home r c) (Op.defs o))
+        (Block.ops b))
+    (Func.blocks f)
 
 (** Partition all computation of [prog], filling [assign]'s op clusters.
     [lock_of] gives mandatory clusters (memory operations under a data
-    partition); object homes in [assign] are the caller's business.
-    Blocks are partitioned in dependency waves ([partition_func_waves]),
-    on [pool] when one is given. *)
-let partition ?(config = default_config) ?pool ~(machine : Vliw_machine.t)
+    partition); object homes in [assign] are the caller's business. *)
+let partition ?(config = default_config) ~(machine : Vliw_machine.t)
     ~(objects_of : int -> Data.Obj_set.t) ~(lock_of : int -> int option)
     (prog : Prog.t) (assign : A.t) : unit =
   Telemetry.with_span "rhop" @@ fun () ->
   List.iter
-    (partition_func_waves ?pool ~machine ~config ~objects_of ~lock_of assign)
+    (partition_func ~machine ~config ~objects_of ~lock_of assign)
     (Prog.funcs prog)

@@ -20,14 +20,10 @@ val default_config : config
     [lock_of] gives mandatory clusters (memory operations under a data
     partition); object homes in [assign] are the caller's business.
 
-    Each function's blocks are partitioned in dependency waves: block
-    [j] waits only for earlier blocks defining a register [j] defines
-    or uses.  With a [pool], the blocks of a wave evaluate
-    concurrently.  Results are committed in layout order, so the output
-    is the same with or without a pool, for any pool width. *)
+    Each function's blocks are partitioned in layout order; a register
+    is locked to the cluster of the block that defined it last. *)
 val partition :
   ?config:config ->
-  ?pool:Par.pool ->
   machine:Vliw_machine.t ->
   objects_of:(int -> Data.Obj_set.t) ->
   lock_of:(int -> int option) ->

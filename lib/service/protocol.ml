@@ -374,7 +374,7 @@ let artifact (e : Pipeline.evaluation) =
              homes) );
     ]
 
-let evaluate_job ?par_workers (j : job) =
+let evaluate_job (j : job) =
   let bench =
     {
       Benchsuite.Bench_intf.name = bench_name j;
@@ -389,7 +389,7 @@ let evaluate_job ?par_workers (j : job) =
       let prepared = Pipeline.prepare_with j.settings bench in
       Pipeline.run ~prepared
         ~mode:(Pipeline.Checked { verify = j.verify })
-        ?par_workers j.settings
+        j.settings
     with e -> Error (Printexc.to_string e)
   with
   | Error m -> Error m

@@ -148,14 +148,11 @@ val bench_name : job -> string
     distinct sources never collide and repeated sources reuse one
     compile within a worker. *)
 
-val evaluate_job : ?par_workers:int -> job -> (Minijson.t, string) result
+val evaluate_job : job -> (Minijson.t, string) result
 (** Compile, partition and price the job under its settings
     ([Gdp_core.Pipeline.run], [Checked] mode) and render the result
     artifact: method, total cycles, dynamic/static moves, rhop runs and
     the object homes in a canonical (sorted) order.  Pure given the
     job's content, so the same job always yields the same bytes —
     the property the artifact cache and the duplicate-submission tests
-    rely on.  [?par_workers] is the number of domains the partitioning
-    passes run on (see [Gdp_core.Pipeline.run]); it never changes the
-    artifact, so servers with different widths stay cache-compatible.
-    [Error] carries the stage or verification failure. *)
+    rely on.  [Error] carries the stage or verification failure. *)

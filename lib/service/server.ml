@@ -15,7 +15,6 @@ type config = {
   max_frame : int;
   trace : string option;
   events : string option;
-  par_workers : int;
   store_dir : string option;
   brownout : float;
   inject : (string * int) option;
@@ -31,7 +30,6 @@ let default_config =
     max_frame = Frame.default_max_frame;
     trace = None;
     events = None;
-    par_workers = 1;
     store_dir = None;
     brownout = 1.0;
     inject = None;
@@ -79,13 +77,13 @@ let worker_spans_json (snap : Telemetry.snapshot) =
          end)
        snap.Telemetry.spans)
 
-let worker_fn ~par_workers payload =
+let worker_fn payload =
   match Protocol.job_of_json payload with
   | Error m ->
       Minijson.obj [ ("failed", Minijson.str ("bad job payload: " ^ m)) ]
   | Ok job -> (
       let evaluate () =
-        match Protocol.evaluate_job ~par_workers job with
+        match Protocol.evaluate_job job with
         | Ok artifact -> Minijson.obj [ ("artifact", artifact) ]
         | Error m -> Minijson.obj [ ("failed", Minijson.str m) ]
       in
@@ -983,8 +981,7 @@ let run cfg =
   let pool =
     Exec.Pool.create ~jobs:cfg.jobs ~max_retries:2 ~retry_backoff:0.02
       ~respawn_backoff:0.02 ~poison_threshold:4 ~backoff_seed:inject_seed
-      ~worker:(worker_fn ~par_workers:cfg.par_workers)
-      ()
+      ~worker:worker_fn ()
   in
   let store, scrub_intact, scrub_quarantined =
     match cfg.store_dir with

@@ -101,11 +101,6 @@ type config = {
   events : string option;
       (** append one JSON line per request-lifecycle event here
           (truncated at startup); [None] disables the event log *)
-  par_workers : int;
-      (** domains each job's partitioning passes run on (default 1).
-          An execution width only — artifacts never depend on it (see
-          {!Protocol.evaluate_job}), so servers with different widths
-          stay cache-compatible. *)
   store_dir : string option;
       (** durable artifact store directory; [None] = memory-only cache *)
   brownout : float;
@@ -120,8 +115,8 @@ type config = {
 val default_config : config
 (** Socket [gdpcd.sock] in the working directory, no TCP, 2 workers,
     256-entry cache, 64-job pending bound, {!Frame.default_max_frame},
-    no trace, no event log, no intra-compile domain cap, no durable
-    store, brown-out disabled, no chaos. *)
+    no trace, no event log, no durable store, brown-out disabled, no
+    chaos. *)
 
 val run : config -> unit
 (** Bind, serve until a shutdown trigger, clean up.  Raises

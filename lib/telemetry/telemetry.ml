@@ -1,16 +1,5 @@
-(** See telemetry.mli.
-
-    Domain-safety model: the span stack and completed-span list are
-    owned by the main domain — [with_span]/[span_arg]/[record_span]
-    called from a [Par] worker domain run their body without recording
-    (a worker's spans would otherwise interleave into a foreign stack).
-    Counters, gauges and histograms ARE recorded from workers: the two
-    metric tables are guarded by [metrics_lock], so concurrent
-    [incr]/[observe] merge instead of racing.  On OCaml 4.x the lock
-    compiles to a no-op and every call site behaves exactly as before.
-
-    [enable]/[disable]/[reset]/[capture]/[snapshot] are main-domain
-    operations; call them outside parallel regions. *)
+(** See telemetry.mli.  The process is single-domain: the registry is
+    plain mutable state with no locks. *)
 
 let log_src = Logs.Src.create "telemetry" ~doc:"GDP telemetry subsystem"
 
@@ -97,11 +86,6 @@ let fresh_state () =
 
 let st = ref (fresh_state ())
 
-(* Guards [table] and [hist_table] (the only state worker domains may
-   touch).  The enabled flag is read unlocked: it only flips outside
-   parallel regions, and a stale read merely skips/records one sample. *)
-let metrics_lock = Par.Lock.create ()
-
 let default_clock () = Unix.gettimeofday () *. 1e6
 let clock = ref default_clock
 let set_clock = function
@@ -120,9 +104,8 @@ let reset () =
   let s = !st in
   s.completed <- [];
   s.next_id <- 0;
-  Par.Lock.with_lock metrics_lock (fun () ->
-      Hashtbl.reset s.table;
-      Hashtbl.reset s.hist_table)
+  Hashtbl.reset s.table;
+  Hashtbl.reset s.hist_table
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -153,10 +136,9 @@ let observe_in (s : state) name v =
 
 let observe name v =
   let s = !st in
-  if s.enabled then
-    Par.Lock.with_lock metrics_lock (fun () -> observe_in s name v)
+  if s.enabled then observe_in s name v
 
-(* Words this domain has allocated so far: minor + major - promoted, as
+(* Words the process has allocated so far: minor + major - promoted, as
    the benchmark's traced run counts them.  [Gc.minor_words] reads the
    live minor-heap pointer; direct major allocations reach the counters
    only at GC slices, so they can shift between neighbouring spans. *)
@@ -166,8 +148,7 @@ let alloc_words () =
 
 let close_span (s : state) (o : open_span) ~end_us ~end_words =
   let dur_us = Float.max 0. (end_us -. o.o_start) in
-  Par.Lock.with_lock metrics_lock (fun () ->
-      observe_in s ("span_us:" ^ o.o_name) dur_us);
+  observe_in s ("span_us:" ^ o.o_name) dur_us;
   s.completed <-
     {
       id = o.o_id;
@@ -182,7 +163,7 @@ let close_span (s : state) (o : open_span) ~end_us ~end_words =
 
 let with_span ?(args = []) name f =
   let s = !st in
-  if (not s.enabled) || not (Par.is_main_domain ()) then f ()
+  if not s.enabled then f ()
   else begin
     let id = s.next_id in
     s.next_id <- id + 1;
@@ -218,7 +199,7 @@ let with_span ?(args = []) name f =
 
 let span_arg key value =
   let s = !st in
-  if s.enabled && Par.is_main_domain () then
+  if s.enabled then
     match s.stack with
     | [] -> ()
     | o :: _ -> o.o_args <- (key, value) :: o.o_args
@@ -227,13 +208,12 @@ let now_us () = !clock ()
 
 let record_span ?(args = []) name ~start_us ~dur_us =
   let s = !st in
-  if s.enabled && Par.is_main_domain () then begin
+  if s.enabled then begin
     let id = s.next_id in
     s.next_id <- id + 1;
     let parent = match s.stack with [] -> None | o :: _ -> Some o.o_id in
     let dur_us = Float.max 0. dur_us in
-    Par.Lock.with_lock metrics_lock (fun () ->
-        observe_in s ("span_us:" ^ name) dur_us);
+    observe_in s ("span_us:" ^ name) dur_us;
     s.completed <-
       { id; parent; name; start_us; dur_us; words = 0.; args } :: s.completed
   end
@@ -252,27 +232,23 @@ let incr ?(by = 1) name =
       (Printf.sprintf "Telemetry.incr: negative increment %d of %s" by name);
   let s = !st in
   if s.enabled then
-    Par.Lock.with_lock metrics_lock (fun () ->
-        match Hashtbl.find_opt s.table name with
-        | None -> Hashtbl.replace s.table name (Counter by)
-        | Some (Counter v) -> Hashtbl.replace s.table name (Counter (v + by))
-        | Some (Gauge _) ->
-            invalid_arg ("Telemetry.incr: " ^ name ^ " is a gauge"))
+    match Hashtbl.find_opt s.table name with
+    | None -> Hashtbl.replace s.table name (Counter by)
+    | Some (Counter v) -> Hashtbl.replace s.table name (Counter (v + by))
+    | Some (Gauge _) -> invalid_arg ("Telemetry.incr: " ^ name ^ " is a gauge")
 
 let set_gauge name v =
   let s = !st in
   if s.enabled then
-    Par.Lock.with_lock metrics_lock (fun () ->
-        match Hashtbl.find_opt s.table name with
-        | None | Some (Gauge _) -> Hashtbl.replace s.table name (Gauge v)
-        | Some (Counter _) ->
-            invalid_arg ("Telemetry.set_gauge: " ^ name ^ " is a counter"))
+    match Hashtbl.find_opt s.table name with
+    | None | Some (Gauge _) -> Hashtbl.replace s.table name (Gauge v)
+    | Some (Counter _) ->
+        invalid_arg ("Telemetry.set_gauge: " ^ name ^ " is a counter")
 
 let counter_value name =
-  Par.Lock.with_lock metrics_lock (fun () ->
-      match Hashtbl.find_opt !st.table name with
-      | Some (Counter v) -> v
-      | Some (Gauge _) | None -> 0)
+  match Hashtbl.find_opt !st.table name with
+  | Some (Counter v) -> v
+  | Some (Gauge _) | None -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -285,23 +261,24 @@ let snapshot () : snapshot =
         match compare a.start_us b.start_us with 0 -> compare a.id b.id | c -> c)
       s.completed
   in
-  let metrics, hists =
-    Par.Lock.with_lock metrics_lock (fun () ->
-        ( Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.table []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b),
-          Hashtbl.fold
-            (fun k (a : hist_acc) acc ->
-              ( k,
-                {
-                  h_count = a.ha_count;
-                  h_sum = a.ha_sum;
-                  h_min = a.ha_min;
-                  h_max = a.ha_max;
-                  h_buckets = Array.copy a.ha_buckets;
-                } )
-              :: acc)
-            s.hist_table []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b) ))
+  let metrics =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.table []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let hists =
+    Hashtbl.fold
+      (fun k (a : hist_acc) acc ->
+        ( k,
+          {
+            h_count = a.ha_count;
+            h_sum = a.ha_sum;
+            h_min = a.ha_min;
+            h_max = a.ha_max;
+            h_buckets = Array.copy a.ha_buckets;
+          } )
+        :: acc)
+      s.hist_table []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   { spans; metrics; hists }
 
@@ -629,7 +606,6 @@ module Winhist = struct
     n_slots : int;
     w_clock : unit -> float;
     w_slots : slot array;
-    lock : Par.Lock.t;
   }
 
   let create ?clock ?(slot_s = 10.) ?(slots = 6) () =
@@ -649,7 +625,6 @@ module Winhist = struct
               s_max = neg_infinity;
               s_counts = Array.make value_buckets 0;
             });
-      lock = Par.Lock.create ();
     }
 
   let window_s t = t.slot_us *. float_of_int t.n_slots /. 1e6
@@ -665,29 +640,26 @@ module Winhist = struct
   let current_epoch t = int_of_float (t.w_clock () /. t.slot_us)
 
   let observe t v =
-    Par.Lock.with_lock t.lock (fun () ->
-        let e = current_epoch t in
-        let s = t.w_slots.(e mod t.n_slots) in
-        if s.s_epoch <> e then begin
-          clear_slot s;
-          s.s_epoch <- e
-        end;
-        s.s_count <- s.s_count + 1;
-        s.s_sum <- s.s_sum +. v;
-        s.s_min <- Float.min s.s_min v;
-        s.s_max <- Float.max s.s_max v;
-        let b = vbucket_of v in
-        s.s_counts.(b) <- s.s_counts.(b) + 1)
+    let e = current_epoch t in
+    let s = t.w_slots.(e mod t.n_slots) in
+    if s.s_epoch <> e then begin
+      clear_slot s;
+      s.s_epoch <- e
+    end;
+    s.s_count <- s.s_count + 1;
+    s.s_sum <- s.s_sum +. v;
+    s.s_min <- Float.min s.s_min v;
+    s.s_max <- Float.max s.s_max v;
+    let b = vbucket_of v in
+    s.s_counts.(b) <- s.s_counts.(b) + 1
 
-  (* Fold the live (non-stale) slots under the lock. *)
+  (* Fold the live (non-stale) slots. *)
   let fold_live t f init =
-    Par.Lock.with_lock t.lock (fun () ->
-        let e = current_epoch t in
-        Array.fold_left
-          (fun acc s ->
-            if s.s_epoch >= 0 && s.s_epoch > e - t.n_slots then f acc s
-            else acc)
-          init t.w_slots)
+    let e = current_epoch t in
+    Array.fold_left
+      (fun acc s ->
+        if s.s_epoch >= 0 && s.s_epoch > e - t.n_slots then f acc s else acc)
+      init t.w_slots
 
   let count t = fold_live t (fun a s -> a + s.s_count) 0
   let sum t = fold_live t (fun a s -> a +. s.s_sum) 0.
@@ -700,8 +672,8 @@ module Winhist = struct
     in
     if mn > mx then None else Some (mn, mx)
 
-  (* Merged bucket counts over the window plus the total, in one locked
-     pass, so a quantile never mixes two different window states. *)
+  (* Merged bucket counts over the window plus the total, in one pass,
+     so a quantile never mixes two different window states. *)
   let merged t =
     let counts = Array.make value_buckets 0 in
     let total =

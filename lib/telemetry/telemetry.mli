@@ -11,13 +11,7 @@
     it around the region of interest (or use [capture] for an isolated
     recording), then render a [snapshot] through a sink.
 
-    Domain safety (see [Par]): counters, gauges and histograms may be
-    recorded from worker domains — the metric tables are lock-guarded,
-    so concurrent [incr]/[observe] merge exactly.  Span recording stays
-    on the main domain: [with_span] called from a worker just runs its
-    body (workers' spans are dropped rather than interleaved into the
-    main stack).  [enable]/[disable]/[reset]/[snapshot]/[capture] are
-    main-domain operations; call them outside parallel regions.
+    The process is single-domain, so the registry takes no locks.
 
     Diagnostic messages go through the [Logs] library under the
     ["telemetry"] source. *)
@@ -30,7 +24,7 @@ type span = {
   dur_us : float;  (** wall-clock duration, microseconds *)
   words : float;
       (** words allocated while the span was open (minor + major -
-          promoted, this domain only); 0 for [record_span] spans *)
+          promoted); 0 for [record_span] spans *)
   args : (string * string) list;  (** free-form key/value annotations *)
 }
 
@@ -206,10 +200,8 @@ end
     {!Winhist.max_rel_error}) of the exact rank-based quantile.  Values
     below 1 share one bucket and estimate as 0.5.
 
-    Mutation and reads are guarded by a per-instance [Par.Lock], so
-    worker domains may observe concurrently (same contract as the
-    global metric tables).  Instances are independent of the global
-    telemetry state: they record even when telemetry is disabled. *)
+    Instances are independent of the global telemetry state: they
+    record even when telemetry is disabled. *)
 module Winhist : sig
   type t
 

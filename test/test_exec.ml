@@ -561,7 +561,20 @@ let test_keyed_clearer_idempotent () =
   Alcotest.(check int) "one call per clear, however often registered" 1 !calls;
   Pipeline.clear_caches ();
   Alcotest.(check int) "called once more on the next clear" 2 !calls;
-  (* leave a no-op behind: the registry is global to the test binary *)
+  (* a clearer that calls clear_caches back (and re-registers itself)
+     gets a no-op inner call, not an infinite recursion *)
+  let reentered = ref 0 in
+  let rec reentrant () =
+    incr reentered;
+    Pipeline.register_cache_clearer ~key:"test.exec.reentrant" reentrant;
+    Pipeline.clear_caches ()
+  in
+  Pipeline.register_cache_clearer ~key:"test.exec.reentrant" reentrant;
+  Pipeline.clear_caches ();
+  Alcotest.(check int) "re-entrant clear is a no-op" 1 !reentered;
+  Alcotest.(check int) "other clearers still ran once" 3 !calls;
+  (* leave no-ops behind: the registry is global to the test binary *)
+  Pipeline.register_cache_clearer ~key:"test.exec.reentrant" (fun () -> ());
   Pipeline.register_cache_clearer ~key:"test.exec.count" (fun () -> ())
 
 let suite =

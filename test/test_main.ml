@@ -20,8 +20,4 @@ let () =
       ("robust", Test_robust.suite);
       ("exec", Test_exec.suite);
       ("service", Test_service.suite);
-      (* must stay last: these tests spawn domains, and once a process
-         has ever created a domain, OCaml 5 forbids Unix.fork — which
-         the exec and service suites rely on *)
-      ("par", Test_par.suite);
     ]

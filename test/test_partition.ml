@@ -446,6 +446,81 @@ let test_method_names () =
   (* legacy aliases stay routable through of_name *)
   Alcotest.(check bool) "pm alias" true (Methods.of_name "pm" = Methods.Profile_max)
 
+(* ------------------------------------------------------------------ *)
+(* The service-closed benchmark kernel (perfbench/service_bench.ml) at
+   scale 1000001, bias 17, on the paper machine with 5-cycle moves,
+   through the service layer's canonical artifact.  GDP once depended
+   on the partitioner's execution width here: a 4-domain run gave 1441
+   cycles and 266 moves.                                              *)
+
+let service_kernel =
+  {|
+int scale = 1000001;
+int bias = 17;
+
+void main() {
+  int n = 24;
+  int *a = malloc(24);
+  int *b = malloc(24);
+  int *c = malloc(24);
+  for (int i = 0; i < n; i = i + 1) { a[i] = in(i) * scale + bias; }
+  for (int i = 0; i < n; i = i + 1) { b[i] = a[i] - bias; }
+  for (int i = 0; i < n; i = i + 1) { c[i] = a[i] + b[i] * 3; }
+  int s = 0;
+  for (int i = 0; i < n; i = i + 1) { s = s + c[i] - a[i]; }
+  out(s);
+}
+|}
+
+let test_service_kernel_golden () =
+  let input = List.init 24 (fun i -> ((i * 37) + 11) mod 256) in
+  let run method_ =
+    let job =
+      {
+        Service.Protocol.id = "service-kernel";
+        source = service_kernel;
+        input;
+        settings = Gdp_core.Pipeline.Settings.default method_;
+        deadline_ms = None;
+        verify = false;
+        trace_id = None;
+      }
+    in
+    let doc =
+      match Service.Protocol.evaluate_job job with
+      | Ok doc -> doc
+      | Error m ->
+          Alcotest.failf "evaluate_job (%s) failed: %s" (Methods.name method_) m
+    in
+    let int k = Option.bind (Minijson.member k doc) Minijson.to_int in
+    let homes =
+      match Minijson.member "obj_homes" doc with
+      | Some (Minijson.List l) ->
+          List.filter_map
+            (fun h ->
+              match
+                ( Option.bind (Minijson.member "obj" h) Minijson.to_string,
+                  Option.bind (Minijson.member "cluster" h) Minijson.to_int )
+              with
+              | Some o, Some c -> Some (o, c)
+              | _ -> None)
+            l
+          |> List.sort compare
+      | _ -> []
+    in
+    (int "cycles", int "dynamic_moves", homes)
+  in
+  let cycles, moves, homes = run Methods.Gdp in
+  Alcotest.(check (option int)) "gdp cycles" (Some 1201) cycles;
+  Alcotest.(check (option int)) "gdp moves" (Some 218) moves;
+  Alcotest.(check (list (pair string int)))
+    "gdp homes"
+    [ ("@bias", 0); ("@scale", 0); ("heap#0", 0); ("heap#1", 1); ("heap#2", 1) ]
+    homes;
+  let cycles, moves, _ = run Methods.Unified in
+  Alcotest.(check (option int)) "unified cycles" (Some 1076) cycles;
+  Alcotest.(check (option int)) "unified moves" (Some 98) moves
+
 let suite =
   [
     Alcotest.test_case "merge: ambiguous objects" `Quick
@@ -472,4 +547,6 @@ let suite =
     Alcotest.test_case "bug: greedy baseline partitioner" `Quick
       test_bug_partitioner;
     Alcotest.test_case "method names" `Quick test_method_names;
+    Alcotest.test_case "service kernel golden" `Quick
+      test_service_kernel_golden;
   ]

@@ -507,9 +507,9 @@ let test_protocol_cache_key () =
             };
         })
 
-(* The domain count is an execution width, not a setting: a version-2
-   client's [par_domains] is validated and dropped, so it can neither
-   change an artifact nor split the cache. *)
+(* [par_domains] is not a setting: a version-2 client's field is
+   validated and dropped, so it can neither change an artifact nor
+   split the cache. *)
 let test_protocol_par_domains_ignored () =
   let with_par_domains n =
     match Protocol.job_to_json (sample_job ()) with
